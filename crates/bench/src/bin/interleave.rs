@@ -1,38 +1,34 @@
-//! Interleaved event-engine fleet driver: thousands of cooperative
-//! buses on ONE thread — then tens of thousands across the persistent
-//! sharded runtime.
+//! Interleaved fleet driver: thousands of analytic buses on ONE
+//! thread — then tens of thousands across the sharded worker pool.
 //!
 //! Where the `fleet` bin scales population by draining each cluster
 //! bus to quiescence in turn, this bin exercises the serving shape:
-//! every cluster runs on a cooperative `EventEngine` (the analytic
-//! kernel behind a resumable `poll_transaction` step) and the
-//! `InterleavedScheduler` round-robins one transaction per bus per
-//! round — all buses make progress together, no bus ever blocks the
-//! thread.
+//! the `InterleavedScheduler` round-robins one
+//! `AnalyticBus::run_transaction` per bus per round — all buses make
+//! progress together, no bus ever blocks the thread.
 //!
 //! Five stages:
 //!
-//! 1. **Headline interleave** — 1024 event-engine buses (1024 × 3
+//! 1. **Headline interleave** — 1024 analytic buses (1024 × 3
 //!    sensors + 1024 gateway presences = 4096 nodes) running
 //!    sense-and-aggregate under the interleaved schedule, with
 //!    throughput in txn/s.
-//! 2. **Worker scaling** — 8192 event-engine buses (32768 nodes) at 1,
-//!    2, 4, and 8 workers, each count run twice: spawn-per-epoch
-//!    (`ShardedFleet::per_epoch_spawn`, the PR 5 shape) vs the
-//!    persistent pool with measured load balancing
-//!    (`ShardedFleet::new`). Both streams are asserted bit-identical
-//!    to the single-threaded interleaved reference; per-shard
+//! 2. **Worker scaling** — 8192 analytic buses (32768 nodes) on the
+//!    worker pool with measured load balancing (`ShardedFleet::new`)
+//!    at 1, 2, 4, and 8 workers. Every stream is asserted
+//!    bit-identical to the single-threaded interleaved reference;
+//!    per-shard
 //!    transaction and wall-time gauges come from
 //!    `FleetFairness::shard_transactions`/`shard_wall_nanos`.
 //! 3. **64k-bus fleet** — a 65536-cluster, 262144-node cross-storm
-//!    drained by the persistent pool, the population headline.
+//!    drained by the worker pool, the population headline.
 //! 4. **Schedule equivalence check** — the same workload, batched vs
 //!    interleaved: the per-cluster `FleetSignature`s must be
 //!    identical (the schedule-independence contract
 //!    `tests/interleaved_fleet.rs` pins).
 //! 5. **Engine-kind × fleet-size grid** —
 //!    `SweepRunner::run_engine_fleet_grid` shards whole fleets over
-//!    analytic × event kinds and growing populations,
+//!    analytic × wire kinds and growing populations,
 //!    serial-identical — and re-run under the sharded schedule, which
 //!    must produce the identical samples (schedule-independence at
 //!    sweep scale).
@@ -53,17 +49,17 @@ use mbus_core::{EngineKind, FleetReport, FleetSchedule, FleetWorkload, ShardedFl
 fn run_headline(clusters: usize, sensors: usize, rounds: usize) -> Json {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
-        "workload '{}': {} nodes across {} event-engine buses, one thread",
+        "workload '{}': {} nodes across {} analytic buses, one thread",
         workload.name(),
         workload.total_nodes(),
         clusters,
     );
     let start = Instant::now();
-    let report = workload.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let report = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let wall = start.elapsed();
     let txn_s = report.transactions() as f64 / wall.as_secs_f64();
     println!(
-        "  [event/interleaved] {} transactions, {} forwarded envelopes, {} deliveries in {:.2?} ({:.0} txn/s)\n",
+        "  [analytic/interleaved] {} transactions, {} forwarded envelopes, {} deliveries in {:.2?} ({:.0} txn/s)\n",
         report.transactions(),
         report.forwarded,
         report.delivered_messages(),
@@ -87,19 +83,18 @@ fn timed_drain(
     workload: &FleetWorkload,
     sharded: &mut ShardedFleet,
     reference: &FleetReport,
-    label: &str,
 ) -> (FleetReport, f64) {
     let start = Instant::now();
-    let report = workload.run_sharded_on(EngineKind::Event, sharded);
+    let report = workload.run_sharded_on(EngineKind::Analytic, sharded);
     let wall = start.elapsed();
     assert_eq!(
         reference.records, report.records,
-        "{label} stream diverged from interleaved"
+        "sharded stream diverged from interleaved"
     );
     assert_eq!(
         reference.signature(),
         report.signature(),
-        "{label} signature diverged from interleaved"
+        "sharded signature diverged from interleaved"
     );
     let txn_s = report.transactions() as f64 / wall.as_secs_f64();
     (report, txn_s)
@@ -108,7 +103,7 @@ fn timed_drain(
 fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: bool) -> Json {
     let workload = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds);
     println!(
-        "worker scaling '{}': {} nodes across {} event-engine buses",
+        "worker scaling '{}': {} nodes across {} analytic buses",
         workload.name(),
         workload.total_nodes(),
         clusters,
@@ -119,7 +114,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     // The single-threaded interleaved drain is both the correctness
     // reference (bit-identical streams) and the throughput baseline.
     let start = Instant::now();
-    let reference = workload.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
+    let reference = workload.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
     let ref_wall = start.elapsed();
     let base_txn_s = reference.transactions() as f64 / ref_wall.as_secs_f64();
     println!(
@@ -130,13 +125,8 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
     );
     let mut rows = Vec::new();
     for &workers in &worker_counts {
-        // The PR 5 shape: fresh scoped threads every epoch, static
-        // contiguous shards.
-        let mut spawn = ShardedFleet::per_epoch_spawn(workers);
-        let (_, spawn_txn_s) = timed_drain(&workload, &mut spawn, &reference, "spawn-per-epoch");
-        // The persistent pool with measured load balancing.
         let mut pool = ShardedFleet::new(workers);
-        let (report, pool_txn_s) = timed_drain(&workload, &mut pool, &reference, "persistent");
+        let (report, pool_txn_s) = timed_drain(&workload, &mut pool, &reference);
         let fairness = report.fairness.as_ref().expect("sharded drains report");
         let (txn_lo, txn_hi) = (
             fairness
@@ -161,11 +151,9 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
             .map(|(&txns, &nanos)| txns as f64 / (nanos.max(1) as f64 / 1e9))
             .collect();
         println!(
-            "  [{workers:>2} worker{}] spawn {:>9.0} txn/s | pool {:>9.0} txn/s ({:>4.2}x spawn, {:>4.2}x baseline)",
+            "  [{workers:>2} worker{}] pool {:>9.0} txn/s ({:>4.2}x baseline)",
             if workers == 1 { " " } else { "s" },
-            spawn_txn_s,
             pool_txn_s,
-            pool_txn_s / spawn_txn_s,
             pool_txn_s / base_txn_s,
         );
         println!(
@@ -178,9 +166,7 @@ fn run_worker_scaling(clusters: usize, sensors: usize, rounds: usize, smoke: boo
         );
         rows.push(Json::obj([
             ("workers", workers.into()),
-            ("spawn_txn_per_s", spawn_txn_s.into()),
             ("pool_txn_per_s", pool_txn_s.into()),
-            ("pool_speedup_vs_spawn", (pool_txn_s / spawn_txn_s).into()),
             ("pool_speedup_vs_baseline", (pool_txn_s / base_txn_s).into()),
             (
                 "shard_transactions",
@@ -220,7 +206,7 @@ fn run_fleet_64k() -> Json {
     );
     let mut sharded = ShardedFleet::new(workers);
     let start = Instant::now();
-    let report = workload.run_sharded_on(EngineKind::Event, &mut sharded);
+    let report = workload.run_sharded_on(EngineKind::Analytic, &mut sharded);
     let wall = start.elapsed();
     // Every sensor's one message is remote, so the gateway forwarded
     // exactly clusters × sensors envelopes — a cheap completion check
@@ -263,7 +249,7 @@ fn run_schedule_check(clusters: usize, sensors: usize, rounds: usize) {
     let mut signatures = Vec::new();
     for schedule in [FleetSchedule::Batched, FleetSchedule::Interleaved] {
         let start = Instant::now();
-        let report = workload.run_scheduled_on(EngineKind::Event, schedule);
+        let report = workload.run_scheduled_on(EngineKind::Analytic, schedule);
         let wall = start.elapsed();
         println!(
             "  [{:>11}] {} transactions in {:.2?}",
@@ -288,7 +274,7 @@ fn run_engine_grid(smoke: bool) {
     } else {
         vec![(16, 3), (64, 3), (256, 3), (1024, 3)]
     };
-    let kinds = [EngineKind::Analytic, EngineKind::Event];
+    let kinds = EngineKind::ALL;
     let runner = SweepRunner::with_threads(SweepRunner::auto().threads().max(4));
     let start = Instant::now();
     let grid = runner.run_engine_fleet_grid(&kinds, &sizes, 2);
@@ -344,8 +330,8 @@ fn main() {
         _ => (1024, 3, 8),
     };
     let headline = run_headline(clusters, sensors, rounds);
-    // The worker-scaling stage drives 8192 buses in both modes (one
-    // round in smoke so CI still exercises the full comparison shape).
+    // The worker-scaling stage drives 8192 buses (one round in smoke
+    // so CI still exercises the full shape).
     let scaling = if smoke {
         run_worker_scaling(8192, 3, 1, true)
     } else {

@@ -221,7 +221,7 @@ impl AddrIndex {
 }
 
 /// A zeroed record for the in-place kernel to fill.
-pub(crate) fn blank_record() -> TransactionRecord {
+fn blank_record() -> TransactionRecord {
     TransactionRecord {
         seq: 0,
         start: SimTime::ZERO,
@@ -474,21 +474,10 @@ impl AnalyticBus {
         self.run_transaction_into(&mut record).then_some(record)
     }
 
-    /// Whether any node currently wants the bus (a queued message or an
-    /// asserted interrupt wakeup) — the kernel's cheap idleness probe,
-    /// O(words) over the incremental bit indexes. This is what the
-    /// cooperative [`crate::event::EventEngine`] answers
-    /// `Poll::Pending` from.
-    pub(crate) fn wants_bus(&self) -> bool {
-        !self.tx_pending.is_empty() || !self.wake_pending.is_empty()
-    }
-
     /// The transaction kernel: fills `record` in place and returns
     /// whether a transaction ran. All contender bookkeeping is
     /// incremental (see module docs) — nothing here scans every node.
-    /// `pub(crate)` so [`crate::event::EventEngine`] can drive it one
-    /// resumable step at a time against its own reused scratch record.
-    pub(crate) fn run_transaction_into(&mut self, record: &mut TransactionRecord) -> bool {
+    fn run_transaction_into(&mut self, record: &mut TransactionRecord) -> bool {
         if self.tx_pending.is_empty() && self.wake_pending.is_empty() {
             return false;
         }

@@ -20,7 +20,7 @@
 //!   [`ReceivedMessage`](crate::engine::ReceivedMessage)s, which every
 //!   engine produces identically (that *is* the conformance contract),
 //!   so the injected traffic — and therefore the extended record
-//!   stream — is identical on analytic, event, and wire engines.
+//!   stream — is identical on the analytic and wire engines.
 //! * **Schedule-independence.** Injection happens only when the bus
 //!   (or the whole fleet) is quiescent, so every schedule reaches the
 //!   identical pre-injection state, injects the identical batch, and

@@ -28,14 +28,14 @@
 //! A [`Fleet`] owns the per-cluster engines (any [`EngineKind`] — the
 //! fleet layer is written against the [`BusEngine`] trait) and drives
 //! them in deterministic epochs with routing only at the quiescence
-//! barriers, under either of two schedules ([`FleetSchedule`]): the
+//! barriers, under one of three schedules ([`FleetSchedule`], all
+//! through the one [`Fleet::drain`]): the
 //! *batched* cluster-major drain (each epoch drains cluster 0 to
 //! quiescence through the engine's batched
-//! [`BusEngine::run_until_quiescent_with`] kernel, then cluster 1, …)
-//! or the *interleaved* [`InterleavedScheduler`] (one transaction per
-//! cluster per round, so thousands of buses — ideally
-//! [`EventEngine`](crate::event::EventEngine)-backed — make progress
-//! together on one thread), or the *sharded* interleave
+//! [`BusEngine::run_until_quiescent_with`] kernel, then cluster 1, …),
+//! the *interleaved* [`InterleavedScheduler`] (one transaction per
+//! cluster per round, so thousands of buses make progress together on
+//! one thread), or the *sharded* interleave
 //! ([`shard::ShardedFleet`]: cluster groups on a persistent worker
 //! pool, one interleaved scheduler each, shards rebalanced by
 //! measured load, gateway envelopes exchanged at cross-worker epoch
@@ -52,7 +52,7 @@
 //! # Example
 //!
 //! ```
-//! use mbus_core::fleet::Fleet;
+//! use mbus_core::fleet::{Fleet, FleetSchedule};
 //! use mbus_core::{BusConfig, EngineKind, FuId};
 //!
 //! let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
@@ -62,7 +62,8 @@
 //! let dst = fleet.add_sensor(b, true); // power-gated destination
 //!
 //! fleet.queue_remote(src, dst, FuId::ZERO, vec![0x42])?;
-//! let records = fleet.run_until_quiescent();
+//! let mut records = Vec::new();
+//! fleet.drain(FleetSchedule::Batched, &mut |r| records.push(r));
 //! assert_eq!(records.len(), 2); // envelope leg + forwarded leg
 //! assert_eq!(fleet.gateway().forwarded(), 1);
 //! assert_eq!(fleet.take_rx(dst)[0].payload, vec![0x42]);
@@ -557,6 +558,13 @@ impl GatewayNode {
         bytes
     }
 
+    /// Length of the envelope [`GatewayNode::encapsulate`] (`ttl`
+    /// `None`) or [`GatewayNode::encapsulate_ttl`] builds around
+    /// `payload_len` inner bytes.
+    pub(crate) fn envelope_len(payload_len: usize, ttl: Option<u8>) -> usize {
+        payload_len + if ttl.is_some() { 6 } else { 4 }
+    }
+
     /// Parses a forwarding envelope back into destination and inner
     /// payload; `None` if the header is not a 4-byte full address.
     /// Reads the legacy v1 form only — mesh-aware callers want
@@ -822,13 +830,14 @@ impl Fleet {
         self.clusters[cluster].stats()
     }
 
-    /// Whether `msg`, queued on `cluster`'s bus, targets the gateway's
-    /// forwarding port there — short-addressed to the gateway's ring
-    /// prefix or full-addressed to its per-bus presence, FU
-    /// [`GATEWAY_FORWARD_FU`] either way (broadcasts use the channel
-    /// field and never alias the port).
-    fn targets_forwarding_port(cluster: usize, msg: &Message) -> bool {
-        match msg.dest() {
+    /// Whether `msg`, queued on `cluster`'s bus, is non-envelope
+    /// traffic to the gateway's forwarding port there — the port
+    /// short-addressed by the gateway's ring prefix or full-addressed
+    /// by its per-bus presence, FU [`GATEWAY_FORWARD_FU`] either way
+    /// (broadcasts use the channel field and never alias the port).
+    /// [`Fleet::queue`] rejects exactly these messages.
+    pub(crate) fn misuses_forwarding_port(cluster: usize, msg: &Message) -> bool {
+        let port = match msg.dest() {
             Address::Short { prefix, fu_id } => {
                 prefix == gateway_short_prefix() && fu_id == GATEWAY_FORWARD_FU
             }
@@ -836,7 +845,8 @@ impl Fleet {
                 prefix == gateway_full_prefix(cluster) && fu_id == GATEWAY_FORWARD_FU
             }
             Address::Broadcast { .. } => false,
-        }
+        };
+        port && GatewayNode::open(msg.payload()).is_none()
     }
 
     /// Queues a message on the sender's own bus — cluster-local
@@ -865,9 +875,7 @@ impl Fleet {
         if src.cluster >= self.clusters.len() {
             return Err(MbusError::UnknownCluster { index: src.cluster });
         }
-        if Fleet::targets_forwarding_port(src.cluster, &msg)
-            && GatewayNode::open(msg.payload()).is_none()
-        {
+        if Fleet::misuses_forwarding_port(src.cluster, &msg) {
             return Err(MbusError::ReservedForwardingPort);
         }
         self.engine_mut(src)?.queue(src.node, msg)
@@ -1031,39 +1039,36 @@ impl Fleet {
     }
 
     /// Runs the whole fleet until no bus has pending work and no
-    /// envelope is in flight, handing each transaction to `visit` as it
-    /// completes.
+    /// envelope is in flight, handing each transaction to `sink` as it
+    /// completes, in the order `schedule` runs them.
     ///
-    /// The schedule is deterministic *batched* round-robin, in epochs:
-    /// each epoch drains every cluster in index order to quiescence
-    /// through the engine's batched
-    /// [`BusEngine::run_until_quiescent_with`] kernel, then — at the
-    /// epoch barrier — routes every cluster's gateway envelopes, again
-    /// in index order; epochs repeat until one completes with no
-    /// transactions run and nothing forwarded. A forwarded leg is
-    /// therefore always queued *between* epochs (store-and-forward: the
-    /// gateway holds it until the destination bus's next-epoch drain),
-    /// regardless of the source and destination cluster indexes.
+    /// Every schedule works in deterministic epochs: it runs each
+    /// cluster to quiescence, then — at the epoch barrier — routes
+    /// every cluster's gateway envelopes in cluster index order; epochs
+    /// repeat until one completes with no transactions run and nothing
+    /// forwarded. A forwarded leg is therefore always queued *between*
+    /// epochs (store-and-forward: the gateway holds it until the
+    /// destination bus's next epoch), regardless of the source and
+    /// destination cluster indexes.
     ///
     /// Because routing happens only at epoch barriers, each cluster's
     /// own record stream is an autonomous drain of whatever was pending
-    /// at its epoch start — independent of *how* the scheduler walks
-    /// the clusters. This is the schedule-independence contract the
-    /// fine-grained [`InterleavedScheduler`] relies on: batched and
-    /// interleaved drains produce identical per-cluster streams and
-    /// differ only in the fleet-wide emission order (cluster-major
-    /// here, round-robin there); `tests/interleaved_fleet.rs` pins
-    /// this. The schedule depends only on cluster indexes, so the
-    /// interleaving of [`FleetRecord`]s is also identical on every
-    /// engine kind.
-    pub fn run_until_quiescent_with(&mut self, visit: &mut dyn FnMut(&FleetRecord)) {
-        self.drain_with(&mut |record| visit(&record));
+    /// at its epoch start — independent of *how* the schedule walks the
+    /// clusters. All schedules therefore produce identical per-cluster
+    /// streams and differ only in the fleet-wide emission order
+    /// (cluster-major for [`FleetSchedule::Batched`], round-robin for
+    /// the interleaved and sharded schedules, which match each other
+    /// exactly); `tests/interleaved_fleet.rs` and
+    /// `tests/sharded_fleet.rs` pin this. The order depends only on
+    /// cluster indexes, so it is also identical on every engine kind.
+    pub fn drain(&mut self, schedule: FleetSchedule, sink: &mut dyn FnMut(FleetRecord)) {
+        schedule.driver().drive(self, sink);
     }
 
-    /// The batched scheduler loop behind the public drains, handing
-    /// each record out *by value* so collecting callers pay one
-    /// [`EngineRecord`] clone per transaction, not two.
-    fn drain_with(&mut self, sink: &mut dyn FnMut(FleetRecord)) {
+    /// The [`FleetSchedule::Batched`] loop: each epoch drains every
+    /// cluster in index order through the engine's batched
+    /// [`BusEngine::run_until_quiescent_with`] kernel, then routes.
+    fn drain_batched(&mut self, sink: &mut dyn FnMut(FleetRecord)) {
         loop {
             let mut progressed = false;
             for cluster in 0..self.clusters.len() {
@@ -1086,57 +1091,6 @@ impl Fleet {
                 return;
             }
         }
-    }
-
-    /// [`Fleet::run_until_quiescent_with`], collecting the records.
-    pub fn run_until_quiescent(&mut self) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        self.drain_with(&mut |r| records.push(r));
-        records
-    }
-
-    /// Drains the fleet with the fine-grained [`InterleavedScheduler`]
-    /// instead of the batched cluster-major schedule: one transaction
-    /// per cluster per round, all clusters advancing together on this
-    /// one thread. Per-cluster behavior is identical to
-    /// [`Fleet::run_until_quiescent_with`] (see the scheduler docs for
-    /// the equivalence argument); only the fleet-wide record order
-    /// differs.
-    pub fn run_until_quiescent_interleaved_with(&mut self, visit: &mut dyn FnMut(&FleetRecord)) {
-        InterleavedScheduler::new().drive(self, &mut |record| visit(&record));
-    }
-
-    /// [`Fleet::run_until_quiescent_interleaved_with`], collecting the
-    /// records.
-    pub fn run_until_quiescent_interleaved(&mut self) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        InterleavedScheduler::new().drive(self, &mut |r| records.push(r));
-        records
-    }
-
-    /// Drains the fleet with the sharded interleave
-    /// ([`shard::ShardedFleet`]): clusters partitioned into `shards`
-    /// contiguous groups, one interleaved scheduler per scoped worker
-    /// thread, gateway envelopes exchanged at cross-worker epoch
-    /// barriers. Per-cluster behavior — record streams, receive logs,
-    /// statistics, gateway counters — and even the fleet-wide record
-    /// order are bit-identical to
-    /// [`Fleet::run_until_quiescent_interleaved_with`] for every shard
-    /// count (see the shard module's equivalence argument).
-    pub fn run_until_quiescent_sharded_with(
-        &mut self,
-        shards: usize,
-        visit: &mut dyn FnMut(&FleetRecord),
-    ) {
-        ShardedFleet::new(shards).drive(self, &mut |record| visit(&record));
-    }
-
-    /// [`Fleet::run_until_quiescent_sharded_with`], collecting the
-    /// records.
-    pub fn run_until_quiescent_sharded(&mut self, shards: usize) -> Vec<FleetRecord> {
-        let mut records = Vec::new();
-        ShardedFleet::new(shards).drive(self, &mut |r| records.push(r));
-        records
     }
 
     /// Drains a node's received messages. For a gateway presence this
@@ -1168,9 +1122,8 @@ impl Fleet {
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
     /// Cluster-major: each epoch drains cluster 0 to quiescence, then
-    /// cluster 1, … — the PR 3 batched drain
-    /// ([`Fleet::run_until_quiescent_with`]). Fastest per bus (each
-    /// cluster stays hot in its engine's batched kernel).
+    /// cluster 1, … Fastest per bus (each cluster stays hot in its
+    /// engine's batched kernel).
     #[default]
     Batched,
     /// Round-robin: one transaction per cluster per round
@@ -1193,6 +1146,63 @@ pub enum FleetSchedule {
     },
 }
 
+impl FleetSchedule {
+    /// The drive loop behind this schedule — the one place a
+    /// [`FleetSchedule`] is dispatched, shared by [`Fleet::drain`] and
+    /// [`FleetWorkload::apply_scheduled`].
+    fn driver(self) -> Box<dyn FleetDriver> {
+        match self {
+            FleetSchedule::Batched => Box::new(BatchedDrain),
+            FleetSchedule::Interleaved => Box::new(InterleavedScheduler::new()),
+            FleetSchedule::Sharded { shards } => Box::new(ShardedFleet::new(shards)),
+        }
+    }
+}
+
+/// A fleet drive loop: runs a fleet to quiescence and reports the
+/// fairness counters it kept along the way.
+trait FleetDriver {
+    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord));
+
+    /// The [`FleetReport::fairness`] snapshot, normalized to
+    /// `clusters` entries (`None` for the batched drain, which keeps
+    /// no round-robin counters).
+    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness>;
+}
+
+/// [`FleetSchedule::Batched`]'s stateless driver.
+struct BatchedDrain;
+
+impl FleetDriver for BatchedDrain {
+    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
+        fleet.drain_batched(sink);
+    }
+
+    fn report_fairness(&self, _clusters: usize) -> Option<FleetFairness> {
+        None
+    }
+}
+
+impl FleetDriver for InterleavedScheduler {
+    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
+        InterleavedScheduler::drive(self, fleet, sink);
+    }
+
+    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness> {
+        Some(self.fairness(clusters))
+    }
+}
+
+impl FleetDriver for ShardedFleet {
+    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
+        ShardedFleet::drive(self, fleet, sink);
+    }
+
+    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness> {
+        Some(self.fairness(clusters))
+    }
+}
+
 impl fmt::Display for FleetSchedule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -1208,12 +1218,10 @@ impl fmt::Display for FleetSchedule {
 /// to quiescence before touching the next.
 ///
 /// Each *round* polls every still-active cluster once through
-/// [`BusEngine::run_transaction`] — which on an
-/// [`EventEngine`](crate::event::EventEngine) is exactly one
-/// `poll_transaction` step, making this the engine/scheduler pairing
-/// that interleaves thousands of buses on one thread. A cluster that
-/// reports no work (`None` / `Poll::Pending`) drops out of the round
-/// rotation for the rest of the epoch; when every cluster is
+/// [`BusEngine::run_transaction`] — which on an [`AnalyticBus`](crate::AnalyticBus)
+/// executes exactly one transaction, so thousands of buses interleave
+/// on one thread. A cluster that reports no work (`None`) drops out of
+/// the round rotation for the rest of the epoch; when every cluster is
 /// quiescent, the epoch barrier routes all gateway envelopes in
 /// cluster index order (identically to the batched drain) and a new
 /// epoch begins. The drain ends when an epoch runs no transaction and
@@ -1242,7 +1250,7 @@ impl fmt::Display for FleetSchedule {
 /// use mbus_core::fleet::{Fleet, InterleavedScheduler};
 /// use mbus_core::{BusConfig, EngineKind, FuId};
 ///
-/// let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+/// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
 /// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
 /// let src = fleet.add_sensor(a, false);
 /// let dst = fleet.add_sensor(b, false);
@@ -1298,7 +1306,7 @@ impl InterleavedScheduler {
     /// use mbus_core::fleet::{Fleet, InterleavedScheduler};
     /// use mbus_core::{BusConfig, EngineKind, FuId};
     ///
-    /// let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+    /// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
     /// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
     /// let src = fleet.add_sensor(a, false);
     /// let dst = fleet.add_sensor(b, false);
@@ -1513,8 +1521,8 @@ pub enum FleetStep {
     /// engines may legally run ahead of `run_transaction`, so
     /// workloads containing this step are not wire-comparable
     /// *across* engine kinds — [`FleetWorkload::wire_comparable`]
-    /// returns `false` and the cross-engine suites pin
-    /// analytic ≡ event.
+    /// returns `false` and the cross-engine suites run them on
+    /// analytic only.
     RunRounds {
         /// Maximum transactions each cluster executes before the step
         /// stops.
@@ -1589,7 +1597,7 @@ impl FleetWorkload {
     /// [`NodeBehavior::Inert`] removes the entry. Responses are
     /// injected at every fleet drain barrier, bounded by
     /// [`FleetWorkload::with_reply_horizon`]; see the
-    /// [`behavior`](crate::behavior) module docs for the determinism
+    /// [`behavior`] module docs for the determinism
     /// rules.
     ///
     /// # Panics
@@ -1841,43 +1849,20 @@ impl FleetWorkload {
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
-        match schedule {
-            FleetSchedule::Batched => self.apply_with_drain(fleet, &mut |fleet, records| {
-                fleet.drain_with(&mut |r| records.push(r))
-            }),
-            FleetSchedule::Interleaved => {
-                let mut scheduler = InterleavedScheduler::new();
-                let clusters = fleet.cluster_count();
-                let mut report = self.apply_with_drain(fleet, &mut |fleet, records| {
-                    scheduler.drive(fleet, &mut |r| records.push(r))
-                });
-                report.fairness = Some(scheduler.fairness(clusters));
-                report
-            }
-            FleetSchedule::Sharded { shards } => {
-                let mut sharded = ShardedFleet::new(shards);
-                self.apply_sharded(fleet, &mut sharded)
-            }
-        }
+        self.apply_driven(fleet, schedule.driver().as_mut())
     }
 
     /// [`FleetWorkload::apply_scheduled`] with a caller-owned
-    /// [`ShardedFleet`], so the drain's worker-pool mode, shard count,
-    /// and [`ShardBalance`] schedule are all the caller's choice (the
-    /// `interleave` bench uses this to race the persistent pool against
-    /// the per-epoch-spawn baseline). Counters accumulate into
-    /// `sharded` and the report's fairness snapshot is taken from it.
+    /// [`ShardedFleet`], so the drain's shard count and
+    /// [`ShardBalance`] schedule are the caller's choice. Counters
+    /// accumulate into `sharded` and the report's fairness snapshot is
+    /// taken from it.
     ///
     /// # Panics
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_sharded(&self, fleet: &mut Fleet, sharded: &mut ShardedFleet) -> FleetReport {
-        let clusters = fleet.cluster_count();
-        let mut report = self.apply_with_drain(fleet, &mut |fleet, records| {
-            sharded.drive(fleet, &mut |r| records.push(r))
-        });
-        report.fairness = Some(sharded.fairness(clusters));
-        report
+        self.apply_driven(fleet, sharded)
     }
 
     /// Builds a fleet of `kind` and runs the workload on it through a
@@ -1889,14 +1874,9 @@ impl FleetWorkload {
     }
 
     /// The shared body of every schedule's apply: asserts the fleet
-    /// matches the workload topology, replays the steps with `drain`
-    /// as the quiescence driver, and assembles the report (with
-    /// `fairness: None` — schedule-specific callers fill it in).
-    fn apply_with_drain(
-        &self,
-        fleet: &mut Fleet,
-        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
-    ) -> FleetReport {
+    /// matches the workload topology, replays the steps with `driver`
+    /// as the quiescence drain, and assembles the report.
+    fn apply_driven(&self, fleet: &mut Fleet, driver: &mut dyn FleetDriver) -> FleetReport {
         assert_eq!(
             fleet.cluster_count(),
             self.clusters.len(),
@@ -1964,10 +1944,10 @@ impl FleetWorkload {
                     fleet.request_wakeup(*node).expect("fleet wakeup step");
                 }
                 FleetStep::Drain => {
-                    drain(fleet, &mut records);
+                    driver.drive(fleet, &mut |r| records.push(r));
                     self.settle_behaviors(
                         fleet,
-                        drain,
+                        driver,
                         &mut records,
                         &mut collected,
                         &mut agg_seen,
@@ -1990,10 +1970,10 @@ impl FleetWorkload {
             }
         }
         if !matches!(self.steps.last(), Some(FleetStep::Drain)) {
-            drain(fleet, &mut records);
+            driver.drive(fleet, &mut |r| records.push(r));
             self.settle_behaviors(
                 fleet,
-                drain,
+                driver,
                 &mut records,
                 &mut collected,
                 &mut agg_seen,
@@ -2042,7 +2022,7 @@ impl FleetWorkload {
                 .collect(),
             injected_replies,
             reply_rounds,
-            fairness: None,
+            fairness: driver.report_fairness(clusters),
             strict_nulls: self.strict_nulls,
         }
     }
@@ -2050,15 +2030,15 @@ impl FleetWorkload {
     /// Runs the horizon-bounded reply-injection loop at a drain
     /// barrier: each round drains every behavior node's receive log,
     /// computes responses in node order, queues them, and re-drains
-    /// the fleet through the *same* schedule-generic `drain` the
-    /// quiescence barriers use — so every schedule (and shard count)
+    /// the fleet through the *same* `driver` the quiescence barriers
+    /// use — so every schedule (and shard count)
     /// reaches the identical pre-injection state and injects the
     /// identical batch.
     #[allow(clippy::too_many_arguments)]
     fn settle_behaviors(
         &self,
         fleet: &mut Fleet,
-        drain: &mut dyn FnMut(&mut Fleet, &mut Vec<FleetRecord>),
+        driver: &mut dyn FleetDriver,
         records: &mut Vec<FleetRecord>,
         collected: &mut BTreeMap<FleetNodeId, Vec<ReceivedMessage>>,
         agg_seen: &mut BTreeMap<FleetNodeId, u32>,
@@ -2087,13 +2067,13 @@ impl FleetWorkload {
                 fleet.queue(id, msg).expect("behavior response");
                 *injected += 1;
             }
-            drain(fleet, records);
+            driver.drive(fleet, &mut |r| records.push(r));
             *rounds += 1;
         }
     }
 
     /// Computes one behavior node's responses to one trigger, pushing
-    /// them onto `batch` (see the [`behavior`](crate::behavior) module
+    /// them onto `batch` (see the [`behavior`] module
     /// docs for the addressing rules).
     fn respond(
         &self,
@@ -2149,7 +2129,7 @@ impl FleetWorkload {
 
     /// Builds one directed reply from `id` to `trigger`'s originator,
     /// or `None` when no legal reply destination exists (see the
-    /// [`behavior`](crate::behavior) module docs).
+    /// [`behavior`] module docs).
     fn reply_message(
         &self,
         fleet: &Fleet,
@@ -2877,6 +2857,12 @@ pub struct FleetSignature {
 mod tests {
     use super::*;
 
+    fn drain_all(fleet: &mut Fleet) -> Vec<FleetRecord> {
+        let mut records = Vec::new();
+        fleet.drain(FleetSchedule::Batched, &mut |r| records.push(r));
+        records
+    }
+
     fn two_cluster_fleet(kind: EngineKind) -> (Fleet, FleetNodeId, FleetNodeId) {
         let mut fleet = Fleet::new(kind, BusConfig::default());
         let a = fleet.add_cluster();
@@ -2906,7 +2892,7 @@ mod tests {
             fleet
                 .queue_remote(src, dst, FuId::ZERO, vec![0xAB, 0xCD])
                 .unwrap();
-            let records = fleet.run_until_quiescent();
+            let records = drain_all(&mut fleet);
             // Envelope leg on cluster 0, forwarded leg on cluster 1.
             assert_eq!(records.len(), 2, "{kind}");
             assert_eq!(records[0].cluster, 0, "{kind}");
@@ -2959,7 +2945,7 @@ mod tests {
             fleet.clusters[src.cluster]
                 .queue(src.node, Message::new(forward_port, vec![0xF0]))
                 .unwrap();
-            let records = fleet.run_until_quiescent();
+            let records = drain_all(&mut fleet);
             assert_eq!(records.len(), 2, "{kind}: both envelope legs ran");
             assert_eq!(fleet.gateway().forwarded(), 0, "{kind}");
             assert_eq!(fleet.gateway().dropped(), 2, "{kind}");
@@ -3022,7 +3008,7 @@ mod tests {
                 ),
                 "{kind}"
             );
-            assert_eq!(fleet.run_until_quiescent().len(), 0, "{kind}");
+            assert_eq!(drain_all(&mut fleet).len(), 0, "{kind}");
             assert_eq!(
                 fleet.gateway().dropped(),
                 0,
@@ -3044,7 +3030,7 @@ mod tests {
             fleet
                 .queue(src, Message::new(forward_port, accidental))
                 .unwrap();
-            fleet.run_until_quiescent();
+            drain_all(&mut fleet);
             assert_eq!(fleet.gateway().forwarded(), 1, "{kind}");
             assert_eq!(fleet.gateway().dropped(), 0, "{kind}");
             let rx = fleet.take_rx(dst);
@@ -3107,7 +3093,7 @@ mod tests {
                 ),
             )
             .unwrap();
-        fleet.run_until_quiescent();
+        drain_all(&mut fleet);
         let rx = fleet.take_rx(FleetNodeId::new(0, GATEWAY_NODE));
         assert_eq!(rx.len(), 1);
         assert_eq!(rx[0].payload, vec![0x11]);
@@ -3212,7 +3198,7 @@ mod tests {
 
     #[test]
     fn interleaved_scheduler_counters_accumulate() {
-        let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+        let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
         let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
         let src = fleet.add_sensor(a, false);
         let dst = fleet.add_sensor(b, false);
@@ -3293,7 +3279,7 @@ mod tests {
             fleet
                 .queue_remote(src, dst, FuId::ZERO, vec![0x5A])
                 .unwrap();
-            fleet.run_until_quiescent();
+            drain_all(&mut fleet);
             assert_eq!(fleet.gateway().forwarded(), 1, "{kind}: terminal leg");
             assert_eq!(fleet.gateway().hop_forwards(), 1, "{kind}: one relay hop");
             assert_eq!(fleet.gateway().dropped(), 0, "{kind}");
@@ -3380,7 +3366,6 @@ mod tests {
             sigs.push(report.signature());
         }
         assert_eq!(sigs[0], sigs[1]);
-        assert_eq!(sigs[1], sigs[2]);
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! A persistent worker pool for the sharded fleet drain.
 //!
-//! PR 5's [`ShardedFleet`](super::ShardedFleet) spawned a fresh
-//! `std::thread::scope` worker per shard *per epoch*; on short epochs
-//! the spawn/join cost dominates the bus work. This pool keeps the
-//! workers alive across epochs (and across whole drives), parked on a
+//! Spawning a fresh worker per shard *per epoch* would pay the
+//! spawn/join cost on every short epoch (measured: more peak memory
+//! and lower throughput than this pool on the repo benchmark's
+//! `fleet-open` workload). This pool keeps the
+//! [`ShardedFleet`](super::ShardedFleet) workers alive across epochs
+//! (and across whole drives), parked on a
 //! hand-rolled `Mutex`/`Condvar` rendezvous barrier: the driver
 //! publishes one job per worker, the workers run them and report
 //! completion, and the driver blocks until the whole generation has
@@ -180,30 +182,6 @@ impl WorkerPool {
     pub(crate) fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.shared.state.lock().expect("pool lock").panic.take()
     }
-}
-
-/// Runs one throwaway generation on fresh scoped threads — the
-/// spawn-per-epoch baseline the persistent pool is measured against.
-///
-/// This free function exists so that *all* fleet threading flows
-/// through this audited module (the `thread-outside-audited` lint rule
-/// forbids `std::thread` elsewhere): scoped threads let the borrow
-/// checker do the lifetime proof, so unlike [`WorkerPool::submit`]
-/// there is no safety contract to discharge. Panics propagate to the
-/// caller after every sibling job has joined.
-pub(crate) fn run_scoped<'scope>(jobs: Vec<Box<dyn FnOnce() + Send + 'scope>>) {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = jobs.into_iter().map(|job| scope.spawn(job)).collect();
-        let mut first_panic = None;
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                first_panic.get_or_insert(payload);
-            }
-        }
-        if let Some(payload) = first_panic {
-            panic::resume_unwind(payload);
-        }
-    });
 }
 
 impl Drop for WorkerPool {

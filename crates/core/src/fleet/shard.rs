@@ -7,12 +7,10 @@
 //! [`ShardedFleet`] partitions a fleet's clusters into **shards** —
 //! contiguous under [`ShardBalance::Static`], load-balanced under
 //! [`ShardBalance::Measured`] — and, each epoch, runs one
-//! `InterleavedScheduler` per shard on a long-lived
-//! `WorkerPool` (`fleet/pool.rs`) worker (or, in the
-//! [`ShardedFleet::per_epoch_spawn`] baseline mode, a fresh
-//! `std::thread::scope` worker per epoch, the PR 5 shape). When every
-//! shard's clusters are quiescent, the workers hand back **per-shard
-//! outboxes** (classified gateway envelopes plus local-traffic stashes
+//! `InterleavedScheduler` per shard on a long-lived `WorkerPool`
+//! (`fleet/pool.rs`) worker. When every shard's clusters are
+//! quiescent, the workers hand back **per-shard outboxes**
+//! (classified gateway envelopes plus local-traffic stashes
 //! and drop counters) and the barrier exchanges them: forwarded legs
 //! are queued onto their destination buses in **global source-cluster
 //! order**, exactly as the single-threaded routing pass would.
@@ -21,8 +19,7 @@
 //!
 //! The sharded drain is *bit-identical* to the single-threaded
 //! interleaved drain — not just per-cluster, but in the fleet-wide
-//! record order too, for every shard count, worker-pool mode, and
-//! rebalance schedule:
+//! record order too, for every shard count and rebalance schedule:
 //!
 //! * **Per-cluster streams.** Clusters share no state except through
 //!   barrier routing, and a worker's epoch issues each of its clusters
@@ -68,11 +65,11 @@
 //! epoch's `(cluster, &mut engine)` entries for its shard and the
 //! barrier rendezvous returns exclusive access to the driver thread —
 //! engines migrate between threads but are never shared, which is what
-//! the `Send` wrapper below asserts. With the persistent pool the
-//! driver runs shard 0 itself (the pool holds `workers - 1` threads),
-//! and a wait-on-drop guard keeps the engine borrows alive across
-//! driver unwinds until every worker has finished its generation —
-//! discharging the `WorkerPool::submit` safety contract.
+//! the `Send` wrapper below asserts. The driver runs shard 0 itself
+//! (the pool holds `workers - 1` threads), and a wait-on-drop guard
+//! keeps the engine borrows alive across driver unwinds until every
+//! worker has finished its generation — discharging the
+//! `WorkerPool::submit` safety contract.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -81,7 +78,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use super::pool::{run_scoped, WorkerPool};
+use super::pool::WorkerPool;
 use super::{
     Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayRoutes, GatewayVerdict,
     InterleavedScheduler, GATEWAY_NODE,
@@ -112,7 +109,7 @@ struct ShardEngines<'a>(ShardEntries<'a>);
 // single-owner object graph, and moving the exclusive `&mut` entries
 // to exactly one worker moves access to each graph wholesale — no
 // reference count or `RefCell` borrow can be reached from two threads.
-// The epoch rendezvous (scope join or pool barrier) hands exclusive
+// The epoch rendezvous (the pool barrier) hands exclusive
 // access back to the driver thread before anything else touches the
 // engines.
 unsafe impl Send for ShardEngines<'_> {}
@@ -278,13 +275,13 @@ impl FleetRecordSink for MergedOnly<'_> {
     }
 }
 
-/// Rendezvous for the persistent-pool epoch: workers deliver their
-/// shard results (or caught panics) as they finish; the driver
-/// receives them in completion order.
 /// What a worker reports for one shard: the epoch results, or the
 /// panic payload its job caught.
 type ShardOutcome = Result<ShardEpoch, Box<dyn Any + Send>>;
 
+/// Rendezvous for a pool epoch: workers deliver their shard results
+/// (or caught panics) as they finish; the driver receives them in
+/// completion order.
 #[derive(Default)]
 struct EpochInbox {
     slots: Mutex<Vec<(usize, ShardOutcome)>>,
@@ -331,12 +328,9 @@ impl Drop for EpochGuard<'_> {
 /// — same record stream, same receive logs, same statistics, same
 /// gateway counters (see the [module docs](self) for why) — while
 /// spreading the per-epoch bus work across up to `shards` cores.
-/// Engines migrate to a worker once per *rebalance* (and the worker
-/// threads themselves live across epochs and drives), not once per
-/// epoch; [`ShardedFleet::per_epoch_spawn`] keeps the scoped
-/// spawn-per-epoch baseline for comparison. Like the scheduler, a
-/// `ShardedFleet` is reusable across drives and accumulates its
-/// counters.
+/// The worker threads live across epochs and drives. Like the
+/// scheduler, a `ShardedFleet` is reusable across drives and
+/// accumulates its counters.
 ///
 /// # Example
 ///
@@ -344,7 +338,7 @@ impl Drop for EpochGuard<'_> {
 /// use mbus_core::fleet::{Fleet, ShardedFleet};
 /// use mbus_core::{BusConfig, EngineKind, FuId};
 ///
-/// let mut fleet = Fleet::new(EngineKind::Event, BusConfig::default());
+/// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
 /// for _ in 0..8 {
 ///     let c = fleet.add_cluster();
 ///     fleet.add_sensor(c, false);
@@ -365,11 +359,8 @@ impl Drop for EpochGuard<'_> {
 pub struct ShardedFleet {
     shards: usize,
     balance: ShardBalance,
-    /// Persistent-pool mode (the default) vs the scoped
-    /// spawn-per-epoch baseline.
-    persistent: bool,
-    /// The long-lived workers, created by the first multi-worker
-    /// persistent epoch and reused for every epoch after.
+    /// The long-lived workers, created by the first multi-worker epoch
+    /// and reused for every epoch after.
     pool: Option<WorkerPool>,
     /// One persistent scheduler per worker slot, so fairness counters
     /// accumulate across epochs and drives exactly as the
@@ -398,8 +389,8 @@ impl Default for ShardedFleet {
 impl ShardedFleet {
     /// Creates a driver that spreads each epoch across up to `shards`
     /// workers (0 is treated as 1; the effective worker count is
-    /// further clamped to the driven fleet's cluster count), using the
-    /// persistent pool and rebalancing by measured load every epoch.
+    /// further clamped to the driven fleet's cluster count),
+    /// rebalancing by measured load every epoch.
     pub fn new(shards: usize) -> Self {
         ShardedFleet::with_balance(shards, ShardBalance::Measured { every_epochs: 1 })
     }
@@ -409,7 +400,6 @@ impl ShardedFleet {
         ShardedFleet {
             shards: shards.max(1),
             balance,
-            persistent: true,
             pool: None,
             schedulers: Vec::new(),
             epochs: 0,
@@ -417,18 +407,6 @@ impl ShardedFleet {
             assigned_clusters: 0,
             next_rebalance: 0,
             shard_wall_nanos: Vec::new(),
-        }
-    }
-
-    /// The pre-pool baseline: a fresh `std::thread::scope` worker per
-    /// shard per epoch over static contiguous shards — the PR 5
-    /// execution shape, kept so the `interleave` bench can measure
-    /// exactly what the persistent pool buys. Output is identical to
-    /// every other mode.
-    pub fn per_epoch_spawn(shards: usize) -> Self {
-        ShardedFleet {
-            persistent: false,
-            ..ShardedFleet::with_balance(shards, ShardBalance::Static)
         }
     }
 
@@ -562,7 +540,6 @@ impl ShardedFleet {
             // parallel against the shared read-only routing table.
             let (results, first_panic) = {
                 let ShardedFleet {
-                    persistent,
                     pool,
                     schedulers,
                     assignment,
@@ -583,7 +560,7 @@ impl ShardedFleet {
                     // its clusters' engines.
                     let mut slots: Vec<Option<&mut Box<dyn BusEngine>>> =
                         fleet.clusters.iter_mut().map(Some).collect();
-                    let mut shard_engines: Vec<ShardEngines<'_>> = assignment
+                    let shard_engines: Vec<ShardEngines<'_>> = assignment
                         .iter()
                         .map(|members| {
                             ShardEngines(
@@ -597,96 +574,60 @@ impl ShardedFleet {
                         })
                         .collect();
 
-                    if !*persistent {
-                        // Baseline mode: spawn-per-epoch scoped
-                        // workers via the audited `pool::run_scoped`
-                        // helper. Each job parks its outcome in its
-                        // own shard slot (panics contained, like the
-                        // pool path), and the driver drains the slots
-                        // in shard order — the same order the old
-                        // in-scope joins used.
-                        let mut outcomes: Vec<Option<std::thread::Result<ShardEpoch>>> = Vec::new();
-                        outcomes.resize_with(workers, || None);
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = shard_engines
-                            .drain(..)
-                            .zip(schedulers.iter_mut())
-                            .zip(outcomes.iter_mut())
-                            .map(|((engines, scheduler), slot)| {
-                                Box::new(move || {
-                                    *slot = Some(panic::catch_unwind(AssertUnwindSafe(|| {
-                                        timed_shard_epoch(engines, scheduler, routes)
-                                    })));
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        run_scoped(jobs);
-                        for (shard, outcome) in outcomes.into_iter().enumerate() {
-                            match outcome.expect("every scoped shard job ran") {
-                                Ok(ep) => {
-                                    sink.shard_records(epoch_id, shard, &ep.records);
-                                    results[shard] = Some(ep);
-                                }
-                                Err(payload) => {
-                                    first_panic = first_panic.take().or(Some(payload));
-                                }
+                    // Shards 1.. go to the pool's long-lived workers,
+                    // the driver runs shard 0 itself, and results
+                    // stream back through the inbox in completion
+                    // order.
+                    let pool = pool.get_or_insert_with(WorkerPool::new);
+                    let inbox = EpochInbox::default();
+                    let mut engines_iter = shard_engines.into_iter();
+                    let shard0 = engines_iter.next().expect("at least one shard");
+                    let mut scheds = schedulers.iter_mut();
+                    let sched0 = scheds.next().expect("a scheduler per shard");
+                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = engines_iter
+                        .zip(scheds)
+                        .enumerate()
+                        .map(|(i, (engines, scheduler))| {
+                            let shard = i + 1;
+                            let inbox = &inbox;
+                            Box::new(move || {
+                                // Contain shard panics here so the
+                                // rendezvous always completes; the
+                                // driver re-raises after the
+                                // barrier.
+                                let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                                    timed_shard_epoch(engines, scheduler, routes)
+                                }));
+                                inbox.deliver(shard, result);
+                            }) as Box<dyn FnOnce() + Send + '_>
+                        })
+                        .collect();
+                    // SAFETY: every borrow inside `jobs` (engines,
+                    // schedulers, routes, inbox) outlives the
+                    // generation — `guard` waits for the pool on
+                    // every exit path, including unwinds, before
+                    // those borrows can be touched or expire; the
+                    // previous generation finished before this
+                    // loop iteration re-entered.
+                    let submitted = unsafe { pool.submit(jobs) };
+                    let guard = EpochGuard { pool };
+                    let ep = timed_shard_epoch(shard0, sched0, routes);
+                    sink.shard_records(epoch_id, 0, &ep.records);
+                    results[0] = Some(ep);
+                    for _ in 0..submitted {
+                        let (shard, result) = inbox.recv();
+                        match result {
+                            Ok(ep) => {
+                                sink.shard_records(epoch_id, shard, &ep.records);
+                                results[shard] = Some(ep);
+                            }
+                            Err(payload) => {
+                                first_panic = first_panic.take().or(Some(payload));
                             }
                         }
-                    } else {
-                        // Persistent pool: shards 1.. go to the pool's
-                        // long-lived workers, the driver runs shard 0
-                        // itself, and results stream back through the
-                        // inbox in completion order.
-                        let pool = pool.get_or_insert_with(WorkerPool::new);
-                        let inbox = EpochInbox::default();
-                        let mut engines_iter = shard_engines.drain(..);
-                        let shard0 = engines_iter.next().expect("at least one shard");
-                        let mut scheds = schedulers.iter_mut();
-                        let sched0 = scheds.next().expect("a scheduler per shard");
-                        let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = engines_iter
-                            .zip(scheds)
-                            .enumerate()
-                            .map(|(i, (engines, scheduler))| {
-                                let shard = i + 1;
-                                let inbox = &inbox;
-                                Box::new(move || {
-                                    // Contain shard panics here so the
-                                    // rendezvous always completes; the
-                                    // driver re-raises after the
-                                    // barrier.
-                                    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                                        timed_shard_epoch(engines, scheduler, routes)
-                                    }));
-                                    inbox.deliver(shard, result);
-                                }) as Box<dyn FnOnce() + Send + '_>
-                            })
-                            .collect();
-                        // SAFETY: every borrow inside `jobs` (engines,
-                        // schedulers, routes, inbox) outlives the
-                        // generation — `guard` waits for the pool on
-                        // every exit path, including unwinds, before
-                        // those borrows can be touched or expire; the
-                        // previous generation finished before this
-                        // loop iteration re-entered.
-                        let submitted = unsafe { pool.submit(jobs) };
-                        let guard = EpochGuard { pool };
-                        let ep = timed_shard_epoch(shard0, sched0, routes);
-                        sink.shard_records(epoch_id, 0, &ep.records);
-                        results[0] = Some(ep);
-                        for _ in 0..submitted {
-                            let (shard, result) = inbox.recv();
-                            match result {
-                                Ok(ep) => {
-                                    sink.shard_records(epoch_id, shard, &ep.records);
-                                    results[shard] = Some(ep);
-                                }
-                                Err(payload) => {
-                                    first_panic = first_panic.take().or(Some(payload));
-                                }
-                            }
-                        }
-                        drop(guard);
-                        first_panic = first_panic.take().or_else(|| pool.take_panic());
                     }
+                    drop(guard);
+                    first_panic = first_panic.take().or_else(|| pool.take_panic());
                 }
                 (results, first_panic)
             };
@@ -789,18 +730,6 @@ mod tests {
         fleet
     }
 
-    /// Engine kinds the multi-kind suites sweep. Under Miri (≈100×
-    /// interpretation overhead) just two: the `Rc`-heavy wire engine —
-    /// the one the Miri CI job is actually auditing for cross-thread
-    /// UB — plus the event engine as the cheap reference.
-    fn test_kinds() -> &'static [EngineKind] {
-        if cfg!(miri) {
-            &[EngineKind::Wire, EngineKind::Event]
-        } else {
-            &EngineKind::ALL
-        }
-    }
-
     /// Shard counts the conformance sweep covers; reduced under Miri
     /// (1 = no pool, 2 = smallest real rendezvous).
     fn test_shard_counts() -> &'static [usize] {
@@ -813,7 +742,7 @@ mod tests {
 
     #[test]
     fn sharded_matches_interleaved_stream_exactly() {
-        for &kind in test_kinds() {
+        for kind in EngineKind::ALL {
             for &shards in test_shard_counts() {
                 let mut reference = eight_cluster_fleet(kind);
                 let mut sharded = eight_cluster_fleet(kind);
@@ -828,8 +757,9 @@ mod tests {
                         .unwrap();
                     }
                 }
-                let want = reference.run_until_quiescent_interleaved();
-                let got = sharded.run_until_quiescent_sharded(shards);
+                let (mut want, mut got) = (Vec::new(), Vec::new());
+                reference.drain(FleetSchedule::Interleaved, &mut |r| want.push(r));
+                sharded.drain(FleetSchedule::Sharded { shards }, &mut |r| got.push(r));
                 assert_eq!(want, got, "{kind} shards={shards}");
                 assert_eq!(
                     reference.gateway().forwarded(),
@@ -842,7 +772,7 @@ mod tests {
 
     #[test]
     fn sharded_counters_accumulate_across_drives() {
-        let mut fleet = eight_cluster_fleet(EngineKind::Event);
+        let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
         let mut sharded = ShardedFleet::new(4);
         for round in 0..2 {
             fleet
@@ -874,8 +804,9 @@ mod tests {
     #[test]
     fn schedule_enum_drives_sharded() {
         let w = FleetWorkload::cross_storm(5, 2, 2);
-        let interleaved = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Interleaved);
-        let sharded = w.run_scheduled_on(EngineKind::Event, FleetSchedule::Sharded { shards: 3 });
+        let interleaved = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+        let sharded =
+            w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Sharded { shards: 3 });
         assert_eq!(interleaved.signature(), sharded.signature());
         assert_eq!(interleaved.records, sharded.records, "order matches too");
         let fairness = sharded.fairness.as_ref().expect("sharded drains report");
@@ -910,8 +841,9 @@ mod tests {
                 ),
             )
             .unwrap();
-        let records = fleet.run_until_quiescent_sharded(64);
-        assert_eq!(records.len(), 1);
+        let mut records = 0;
+        fleet.drain(FleetSchedule::Sharded { shards: 64 }, &mut |_| records += 1);
+        assert_eq!(records, 1);
 
         // Degenerate inputs: zero shards clamp to one, empty fleets
         // terminate immediately.
@@ -920,15 +852,12 @@ mod tests {
     }
 
     #[test]
-    fn per_epoch_spawn_matches_persistent_modes() {
-        // All three execution modes (persistent measured, persistent
-        // static, scoped spawn-per-epoch) produce the identical
-        // stream.
-        for &kind in test_kinds() {
+    fn measured_and_static_balance_match() {
+        // Both balance modes produce the identical stream.
+        for kind in EngineKind::ALL {
             let runs: Vec<Vec<FleetRecord>> = [
                 ShardedFleet::new(3),
                 ShardedFleet::with_balance(3, ShardBalance::Static),
-                ShardedFleet::per_epoch_spawn(3),
             ]
             .into_iter()
             .map(|mut sharded| {
@@ -949,7 +878,6 @@ mod tests {
             })
             .collect();
             assert_eq!(runs[0], runs[1], "{kind}: measured == static");
-            assert_eq!(runs[0], runs[2], "{kind}: pooled == spawn-per-epoch");
         }
     }
 
@@ -974,7 +902,7 @@ mod tests {
     fn wire_engines_migrate_across_pool_threads() {
         // The Send-audit's regression test, sized to run un-reduced
         // under Miri: two Rc-based wire engines on a two-shard
-        // persistent pool, so every epoch moves each engine's whole
+        // pool, so every epoch moves each engine's whole
         // object graph onto a worker thread and the rendezvous hands
         // it back — three drives deep, with cross-cluster traffic so
         // the barrier exchanges state between the shards too.
@@ -1006,7 +934,7 @@ mod tests {
     #[test]
     fn assignment_refreshes_on_rebalance_and_resize() {
         let mut sharded = ShardedFleet::new(2);
-        let mut fleet = eight_cluster_fleet(EngineKind::Event);
+        let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
         fleet
             .queue_remote(
                 FleetNodeId::new(0, 1),

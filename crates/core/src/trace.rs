@@ -51,6 +51,10 @@
 //! then steps — and comments are whole lines starting with `#` (so
 //! payload and name fields never need escaping). Parse errors carry an
 //! exact `file:line:col` span and never panic; see [`TraceError`].
+//! Steps the bus would refuse at queue time — a checked message longer
+//! than `maxmsg`, non-envelope traffic to the gateway forwarding port,
+//! an envelope aimed at a forwarding port — are parse errors too, so
+//! every trace that parses also replays.
 //!
 //! # Round-trip and determinism contract
 //!
@@ -74,7 +78,8 @@ use crate::behavior::{NodeBehavior, DEFAULT_REPLY_HORIZON, MAX_BEHAVIOR_PAYLOAD}
 use crate::config::BusConfig;
 use crate::engine::{EngineKind, EngineRecord};
 use crate::fleet::{
-    FleetNodeId, FleetSchedule, FleetSignature, FleetStep, FleetWorkload, MeshRoute, MAX_TTL,
+    Fleet, FleetNodeId, FleetSchedule, FleetSignature, FleetStep, FleetWorkload, GatewayNode,
+    MeshRoute, GATEWAY_FORWARD_FU, GATEWAY_NODE, MAX_TTL,
 };
 use crate::message::Message;
 use crate::node::NodeSpec;
@@ -160,7 +165,7 @@ impl Trace {
     }
 
     /// Whether the trace's behavior is comparable on the wire engine
-    /// (partial drains make it analytic ≡ event only — see
+    /// (partial drains make it analytic-only — see
     /// [`Workload::wire_comparable`]).
     pub fn wire_comparable(&self) -> bool {
         match self {
@@ -1079,6 +1084,13 @@ impl<'a> Parser<'a> {
                 let node = self.parse_node_index(line_no, line, toks, 1)?;
                 let msg = self.parse_msg(line_no, line, toks, 2)?;
                 self.wsteps.push(if head.text == "send" {
+                    self.check_maxmsg(
+                        line_no,
+                        toks[3],
+                        "payload",
+                        msg.len(),
+                        " (use `send!` to queue an oversized message unchecked)",
+                    )?;
                     Step::Queue { node, msg }
                 } else {
                     Step::QueueUnchecked { node, msg }
@@ -1123,6 +1135,18 @@ impl<'a> Parser<'a> {
                 self.enter(line_no, head, Section::Steps)?;
                 let src = self.parse_fleet_id(line_no, line, toks, 1)?;
                 let msg = self.parse_msg(line_no, line, toks, 2)?;
+                if Fleet::misuses_forwarding_port(src.cluster, &msg) {
+                    return Err(self.err(
+                        line_no,
+                        toks[2].col,
+                        format!(
+                            "`{}` is the gateway forwarding port, which accepts only \
+                             forwarding envelopes (use `remote` for cross-cluster traffic)",
+                            toks[2].text
+                        ),
+                    ));
+                }
+                self.check_maxmsg(line_no, toks[3], "payload", msg.len(), "")?;
                 self.fsteps.push(FleetStep::Local { src, msg });
             }
             "remote" => {
@@ -1139,6 +1163,13 @@ impl<'a> Parser<'a> {
                         format!("functional unit {fu_raw} out of range (0..=15)"),
                     )
                 })?;
+                if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
+                    return Err(self.err(
+                        line_no,
+                        fu_tok.col,
+                        "a remote message may not target a gateway forwarding port",
+                    ));
+                }
                 let payload_tok = self.need(line_no, line, toks, 4, "payload hex (or -)")?;
                 let payload = self.parse_payload(line_no, payload_tok)?;
                 let mut ttl: Option<u8> = None;
@@ -1183,6 +1214,13 @@ impl<'a> Parser<'a> {
                         ));
                     }
                 }
+                self.check_maxmsg(
+                    line_no,
+                    payload_tok,
+                    "envelope (payload + header)",
+                    GatewayNode::envelope_len(payload.len(), ttl),
+                    "",
+                )?;
                 self.fsteps.push(FleetStep::Remote {
                     src,
                     dest,
@@ -1197,6 +1235,27 @@ impl<'a> Parser<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Rejects a checked message of `len` bytes longer than the bus's
+    /// `maxmsg`, which the bus would refuse at queue time.
+    fn check_maxmsg(
+        &self,
+        line_no: u32,
+        tok: Tok<'a>,
+        what: &str,
+        len: usize,
+        hint: &str,
+    ) -> Result<(), TraceError> {
+        let max = self.config.max_message_bytes();
+        if len <= max {
+            return Ok(());
+        }
+        Err(self.err(
+            line_no,
+            tok.col,
+            format!("{what} of {len} byte(s) exceeds maxmsg={max}{hint}"),
+        ))
     }
 
     /// Rejects a version-2 construct inside a file whose magic header
@@ -1333,15 +1392,12 @@ impl<'a> Parser<'a> {
                 "engine" => {
                     self.meta.engine = Some(match value {
                         "analytic" => EngineKind::Analytic,
-                        "event" => EngineKind::Event,
                         "wire" => EngineKind::Wire,
                         other => {
                             return Err(self.err(
                                 line_no,
                                 tok.col,
-                                format!(
-                                    "unknown engine `{other}` (expected analytic, event, or wire)"
-                                ),
+                                format!("unknown engine `{other}` (expected analytic or wire)"),
                             ))
                         }
                     });
@@ -2038,7 +2094,7 @@ mod tests {
     #[test]
     fn meta_round_trips() {
         let mut tf = TraceFile::workload(Workload::many_node_storm(3, 1)).with_seed(99);
-        tf.meta.engine = Some(EngineKind::Event);
+        tf.meta.engine = Some(EngineKind::Wire);
         tf.meta.schedule = Some(FleetSchedule::Sharded { shards: 4 });
         tf.meta.balance = Some(ShardBalance::Measured { every_epochs: 2 });
         tf.meta.expect_sig = Some(0x0123_4567_89ab_cdef);
@@ -2105,6 +2161,42 @@ mod tests {
             err.to_string(),
             "t.mbt:4:6: node index 3 out of range (1 node(s) declared)"
         );
+    }
+
+    #[test]
+    fn steps_the_bus_would_refuse_are_parse_errors() {
+        let fleet = "mbt 1 fleet\nname t\ncluster aa\ncluster aa\n";
+        let reject = |text: String| {
+            TraceFile::parse_str("t.mbt", &text)
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            reject(format!("{fleet}remote 0.1 1.1 0 {}\n", "ab".repeat(1021))),
+            "t.mbt:5:18: envelope (payload + header) of 1025 byte(s) exceeds maxmsg=1024"
+        );
+        assert_eq!(
+            reject(format!("{fleet}remote 0.1 1.0 0 aa\n")),
+            "t.mbt:5:16: a remote message may not target a gateway forwarding port"
+        );
+        assert_eq!(
+            reject(format!("{fleet}local 0.1 0x2.0 {}\n", "ab".repeat(1025))),
+            "t.mbt:5:17: payload of 1025 byte(s) exceeds maxmsg=1024"
+        );
+        // One byte shorter, another gateway fu, a real envelope on the
+        // forwarding port, and an unchecked oversized send all parse.
+        let envelope = GatewayNode::encapsulate(FullPrefix::new(0x11).unwrap(), FuId::ZERO, &[1]);
+        for text in [
+            format!("{fleet}remote 0.1 1.1 0 {}\n", "ab".repeat(1020)),
+            format!("{fleet}remote 0.1 1.0 1 aa\n"),
+            format!("{fleet}local 0.1 0x1.0 {}\n", payload_token(&envelope)),
+            format!(
+                "mbt 1 workload\nname t\nnode prefix=0x00001 short=0x1 name=a\nsend! 0 0x1.0 {}\n",
+                "ab".repeat(1025)
+            ),
+        ] {
+            TraceFile::parse_str("t.mbt", &text).unwrap();
+        }
     }
 
     #[test]
@@ -2234,7 +2326,7 @@ mod tests {
     fn digest_is_stable_and_discriminating() {
         let w = Workload::many_node_storm(4, 2);
         let a = scenario_digest(&w.run_on(EngineKind::Analytic).signature());
-        let b = scenario_digest(&w.run_on(EngineKind::Event).signature());
+        let b = scenario_digest(&w.run_on(EngineKind::Wire).signature());
         assert_eq!(a, b, "identical signatures digest identically");
         let other = scenario_digest(
             &Workload::many_node_storm(4, 3)

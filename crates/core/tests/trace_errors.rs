@@ -116,6 +116,20 @@ const EXPECTED: &[(&str, &str)] = &[
         "v2_directive_in_v1.mbt:4:1: `behavior` requires trace version 2 \
          (this file declares version 1)",
     ),
+    (
+        "local_forwarding_port.mbt",
+        "local_forwarding_port.mbt:4:11: `0x1.0` is the gateway forwarding port, which \
+         accepts only forwarding envelopes (use `remote` for cross-cluster traffic)",
+    ),
+    (
+        "send_over_maxmsg.mbt",
+        "send_over_maxmsg.mbt:6:14: payload of 1025 byte(s) exceeds maxmsg=1024 \
+         (use `send!` to queue an oversized message unchecked)",
+    ),
+    (
+        "replay_engine_event.mbt",
+        "replay_engine_event.mbt:3:8: unknown engine `event` (expected analytic or wire)",
+    ),
 ];
 
 #[test]

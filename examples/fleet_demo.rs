@@ -6,7 +6,7 @@
 //!
 //! Run with: `cargo run --example fleet_demo`
 
-use mbus_core::fleet::{Fleet, FleetNodeId};
+use mbus_core::fleet::{Fleet, FleetNodeId, FleetSchedule};
 use mbus_core::{BusConfig, EngineKind, FuId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -40,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     fleet.request_wakeup(sensors[1][2])?;
 
-    let records = fleet.run_until_quiescent();
+    let mut records = Vec::new();
+    fleet.drain(FleetSchedule::Batched, &mut |r| records.push(r));
     println!(
         "ran {} transactions, gateway forwarded {} envelopes",
         records.len(),

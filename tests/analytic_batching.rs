@@ -14,9 +14,9 @@
 //! oversized/runaway messages past the mediator's limit, back-to-back
 //! deliveries overrunning small receive buffers, and mid-drain
 //! queueing (partial drains followed by more traffic). Mid-drain seeds
-//! are pinned analytic ≡ event (the wire engine may legally run ahead
-//! of `run_transaction` — see `Workload::wire_comparable`); everything
-//! else is cross-checked three ways, wire included.
+//! run on the analytic kernel only (the wire engine may legally run
+//! ahead of `run_transaction` — see `Workload::wire_comparable`);
+//! everything else is cross-checked against wire.
 //!
 //! Set `MBUS_SEED_SCALE` (the weekly CI cron uses 10) to sweep a
 //! larger seed space with the same tests.
@@ -120,12 +120,12 @@ fn batched_drain_matches_on_the_paper_suite() {
 #[test]
 fn seeded_workloads_agree_across_all_engines_over_200_wire_seeds() {
     // The seeded generator — hostile traffic included — cross-checked
-    // on every engine kind through the shared helper: analytic ≡ event
-    // on every seed, and ≡ wire on every wire-comparable seed. The
+    // on every engine kind through the shared helper: analytic ≡ wire
+    // on every wire-comparable seed. The
     // walk continues until at least 200 seeds have been pinned against
     // the edge-accurate engine (mid-drain seeds can't be — the wire
-    // engine legally runs ahead — so they only count toward the
-    // kernel-pair total).
+    // engine legally runs ahead — so they run on analytic only and
+    // do not count).
     let target = common::scaled_seeds(200);
     let mut wire_checked = 0u64;
     let mut seed = 0u64;

@@ -44,7 +44,7 @@ pub fn scaled_seeds(base: u64) -> u64 {
 /// The engine kinds `workload` can be compared on: all of them, unless
 /// the workload contains partial drains — the wire engine may legally
 /// run ahead of `run_transaction` (see the `BusEngine` contract), so
-/// mid-drain queueing is pinned analytic ≡ event only.
+/// mid-drain queueing runs on the analytic kernel only.
 pub fn comparable_kinds(workload: &Workload) -> Vec<EngineKind> {
     EngineKind::ALL
         .iter()
@@ -81,7 +81,7 @@ pub fn crosscheck_all_engines(workload: &Workload) -> Vec<ScenarioReport> {
 /// The engine kinds `workload` can be compared on: all of them, unless
 /// the workload contains partial drains ([`mbus_core::fleet::FleetStep::RunRounds`])
 /// — the wire engine may legally run ahead of `run_transaction`, so
-/// such fleets are pinned analytic ≡ event only, exactly like the
+/// such fleets run on the analytic kernel only, exactly like the
 /// single-bus layer.
 pub fn fleet_comparable_kinds(workload: &FleetWorkload) -> Vec<EngineKind> {
     EngineKind::ALL
@@ -135,7 +135,7 @@ pub fn schedule_crosscheck(
 }
 
 /// Runs `workload` sharded across `shards` workers on `kind` — once
-/// through [`FleetSchedule::Sharded`] (the persistent pool rebalancing
+/// through [`FleetSchedule::Sharded`] (the worker pool rebalancing
 /// every epoch) and once with rebalancing off
 /// ([`ShardBalance::Static`]) — and asserts both sharded drains are
 /// bit-identical to the single-threaded interleaved reference: the

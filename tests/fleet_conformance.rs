@@ -4,8 +4,8 @@
 //! Where `tests/engine_conformance.rs` pins each engine to the
 //! single-bus contract, this suite pins the *fleet* semantics: a
 //! cross-cluster message produces the same [`FleetSignature`] on every
-//! engine kind (analytic, wire, and event — all three via the shared
-//! `tests/common` helper), forwarding into a power-gated destination
+//! engine kind (analytic and wire, via the shared `tests/common`
+//! helper), forwarding into a power-gated destination
 //! cluster wakes it exactly as a local transmission would (gated bus
 //! controllers charged once per transaction, per the shared accounting),
 //! and a 100+-node fleet — population no single 14-prefix bus can hold —
@@ -13,7 +13,7 @@
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, FleetWorkload, GATEWAY_NODE};
+use mbus_core::fleet::{Fleet, FleetNodeId, FleetSchedule, FleetWorkload, GATEWAY_NODE};
 use mbus_core::{BusConfig, EngineKind, FuId};
 
 /// A two-cluster fleet: cluster 0 carries an always-on reporter,
@@ -67,7 +67,8 @@ fn forwarding_wakes_a_power_gated_destination_cluster() {
         fleet
             .queue_remote(reporter, gated_dest, FuId::ZERO, vec![0x42])
             .unwrap();
-        let records = fleet.run_until_quiescent();
+        let mut records = Vec::new();
+        fleet.drain(FleetSchedule::Batched, &mut |r| records.push(r));
         assert_eq!(records.len(), 2, "{kind}: envelope leg + forwarded leg");
         assert_eq!(
             (records[0].cluster, records[1].cluster),
@@ -147,9 +148,9 @@ fn fleet_record_interleaving_is_engine_independent() {
 fn seeded_fleets_agree_across_engines() {
     // The fleet-level fuzzer (cross-cluster destinations, priority
     // envelopes, unroutable envelopes, wakeups, gated senders,
-    // mid-epoch partial drains) cross-checked three ways — the
+    // mid-epoch partial drains) cross-checked across engines — the
     // edge-accurate engine included whenever the seed is
-    // wire-comparable (partial drains pin analytic ≡ event only).
+    // wire-comparable (partial drains run on analytic only).
     for seed in 0..common::scaled_seeds(24) {
         common::fleet_crosscheck_all_engines(&FleetWorkload::seeded(seed));
     }

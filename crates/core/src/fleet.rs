@@ -95,7 +95,7 @@ use crate::engine::{
 use crate::error::MbusError;
 use crate::message::Message;
 use crate::node::NodeSpec;
-use crate::scenario::ScenarioSignature;
+use crate::scenario::{bus_signature, ScenarioSignature};
 
 /// Ring position of the gateway's presence on every bridged bus. The
 /// gateway hosts the mediator (index 0, §4.3's highest topological
@@ -2758,41 +2758,24 @@ impl FleetFairness {
 impl FleetReport {
     /// The engine-independent essence of this run; compare with
     /// `assert_eq!` across engine kinds.
+    ///
+    /// One pass buckets the record stream by cluster, so the cost is
+    /// O(records + clusters) — cheap enough to run on every replay.
+    /// A record naming a cluster past `rx` (only a hand-edited report
+    /// can hold one) belongs to no cluster and is skipped.
     pub fn signature(&self) -> FleetSignature {
-        let clusters = self.rx.len();
-        let per_cluster = (0..clusters)
-            .map(|c| {
-                let records = self
-                    .records
-                    .iter()
-                    .filter(|r| r.cluster == c)
-                    .map(|r| &r.record)
-                    .filter(|r| self.strict_nulls || !r.is_null())
-                    .enumerate()
-                    .map(|(i, r)| EngineRecord {
-                        seq: i as u64,
-                        ..r.clone()
-                    })
-                    .collect();
-                let deliveries = self.rx[c]
-                    .iter()
-                    .map(|log| {
-                        log.iter()
-                            .map(|m| (m.from, m.dest, m.payload.clone()))
-                            .collect()
-                    })
-                    .collect();
-                let wakes = self.strict_nulls.then(|| {
-                    (
-                        self.wake_events[c].clone(),
-                        self.stats[c].layer_wakes.clone(),
-                    )
-                });
-                ScenarioSignature {
-                    records,
-                    deliveries,
-                    wakes,
-                }
+        let mut buckets = vec![Vec::new(); self.rx.len()];
+        for r in &self.records {
+            if let Some(bucket) = buckets.get_mut(r.cluster) {
+                bucket.push(&r.record);
+            }
+        }
+        let per_cluster = buckets
+            .into_iter()
+            .enumerate()
+            .map(|(c, records)| {
+                let (rx, wakes, stats) = (&self.rx[c], &self.wake_events[c], &self.stats[c]);
+                bus_signature(self.strict_nulls, records, rx, wakes, stats)
             })
             .collect();
         FleetSignature {
@@ -3120,6 +3103,26 @@ mod tests {
             let b = w.run_on(EngineKind::Analytic).signature();
             assert_eq!(a, b, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn signature_skips_records_past_the_last_cluster() {
+        // The fields are public, so a hand-edited report can name a
+        // cluster that does not exist: it belongs to no cluster's
+        // signature, and must neither panic nor shift any other.
+        let mut report = FleetWorkload::cross_storm(3, 2, 2).run_on(EngineKind::Analytic);
+        let expected = report.signature();
+        let stray = report.records[0].record.clone();
+        for cluster in [report.rx.len(), usize::MAX] {
+            report.records.insert(
+                1,
+                FleetRecord {
+                    cluster,
+                    record: stray.clone(),
+                },
+            );
+        }
+        assert_eq!(report.signature(), expected);
     }
 
     #[test]

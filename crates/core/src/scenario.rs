@@ -878,36 +878,52 @@ pub struct ScenarioSignature {
     pub wakes: Option<(Vec<u64>, Vec<u64>)>,
 }
 
+/// One bus's [`ScenarioSignature`] from its records in completion
+/// order: the single definition behind [`ScenarioReport::signature`]
+/// and each cluster of
+/// [`FleetReport::signature`](crate::fleet::FleetReport::signature).
+pub(crate) fn bus_signature<'a>(
+    strict_nulls: bool,
+    records: impl IntoIterator<Item = &'a EngineRecord>,
+    rx: &[Vec<ReceivedMessage>],
+    wake_events: &[u64],
+    stats: &BusStats,
+) -> ScenarioSignature {
+    let records = records
+        .into_iter()
+        .filter(|r| strict_nulls || !r.is_null())
+        .enumerate()
+        .map(|(i, r)| EngineRecord {
+            seq: i as u64,
+            ..r.clone()
+        })
+        .collect();
+    let deliveries = rx
+        .iter()
+        .map(|log| {
+            log.iter()
+                .map(|m| (m.from, m.dest, m.payload.clone()))
+                .collect()
+        })
+        .collect();
+    let wakes = strict_nulls.then(|| (wake_events.to_vec(), stats.layer_wakes.clone()));
+    ScenarioSignature {
+        records,
+        deliveries,
+        wakes,
+    }
+}
+
 impl ScenarioReport {
     /// The comparable signature; see [`ScenarioSignature`].
     pub fn signature(&self) -> ScenarioSignature {
-        let records = self
-            .records
-            .iter()
-            .filter(|r| self.strict_nulls || !r.is_null())
-            .enumerate()
-            .map(|(i, r)| EngineRecord {
-                seq: i as u64,
-                ..r.clone()
-            })
-            .collect();
-        let deliveries = self
-            .rx
-            .iter()
-            .map(|log| {
-                log.iter()
-                    .map(|m| (m.from, m.dest, m.payload.clone()))
-                    .collect()
-            })
-            .collect();
-        let wakes = self
-            .strict_nulls
-            .then(|| (self.wake_events.clone(), self.stats.layer_wakes.clone()));
-        ScenarioSignature {
-            records,
-            deliveries,
-            wakes,
-        }
+        bus_signature(
+            self.strict_nulls,
+            &self.records,
+            &self.rx,
+            &self.wake_events,
+            &self.stats,
+        )
     }
 
     /// Total bus-clock cycles across all records.
@@ -969,6 +985,44 @@ mod tests {
         assert_eq!(sig.records.len(), 1, "null dropped");
         assert_eq!(sig.records[0].seq, 0, "renumbered");
         assert!(sig.wakes.is_none());
+    }
+
+    #[test]
+    fn bus_signature_matches_a_one_cluster_fleet_report() {
+        // Both signatures come from `bus_signature`; pin that a bus and a
+        // one-cluster fleet report holding its records, rx, wakes and
+        // stats agree, strict and non-strict.
+        let nulls = Workload::new("nulls", BusConfig::default())
+            .node(spec("a", 0x1, 0x1, false))
+            .node(spec("b", 0x2, 0x2, true))
+            .wakeup(1)
+            .drain()
+            .send(0, Message::new(short(0x2, 0x0), vec![1]))
+            .drain();
+        for w in [Workload::many_node_storm(5, 2), nulls.allow_wake_nulls()] {
+            let bus = w.run_on(EngineKind::Analytic);
+            let mut one =
+                crate::fleet::FleetWorkload::new("one", BusConfig::default()).cluster(vec![false]);
+            if !bus.strict_nulls {
+                one = one.allow_wake_nulls();
+            }
+            let mut fleet = one.run_on(EngineKind::Analytic);
+            fleet.records = bus
+                .records
+                .iter()
+                .cloned()
+                .map(|record| crate::fleet::FleetRecord { cluster: 0, record })
+                .collect();
+            fleet.rx = vec![bus.rx.clone()];
+            fleet.wake_events = vec![bus.wake_events.clone()];
+            fleet.stats = vec![bus.stats.clone()];
+            assert_eq!(
+                fleet.signature().clusters,
+                vec![bus.signature()],
+                "{}",
+                w.name()
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,11 @@
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, FleetSchedule, FleetWorkload, GATEWAY_NODE};
-use mbus_core::{BusConfig, EngineKind, FuId};
+use mbus_core::fleet::{
+    Fleet, FleetNodeId, FleetReport, FleetSchedule, FleetSignature, FleetWorkload, GATEWAY_NODE,
+};
+use mbus_core::scenario::ScenarioSignature;
+use mbus_core::{BusConfig, EngineKind, EngineRecord, FuId};
 
 /// A two-cluster fleet: cluster 0 carries an always-on reporter,
 /// cluster 1 carries two power-gated sensors.
@@ -234,4 +237,83 @@ fn aggregation_pattern_collects_every_cluster_on_all_engines() {
             "{kind}: collector saw {aggregates} forwarded aggregates"
         );
     }
+}
+
+/// The quadratic construction of a [`FleetSignature`]: for every
+/// cluster, rescan the whole record stream for that cluster's records.
+/// Kept as the reference the one-pass `FleetReport::signature` must
+/// reproduce exactly.
+fn reference_signature(report: &FleetReport, strict_nulls: bool) -> FleetSignature {
+    let clusters = (0..report.rx.len())
+        .map(|c| ScenarioSignature {
+            records: report
+                .records
+                .iter()
+                .filter(|r| r.cluster == c)
+                .map(|r| &r.record)
+                .filter(|r| strict_nulls || !r.is_null())
+                .enumerate()
+                .map(|(i, r)| EngineRecord {
+                    seq: i as u64,
+                    ..r.clone()
+                })
+                .collect(),
+            deliveries: report.rx[c]
+                .iter()
+                .map(|log| {
+                    log.iter()
+                        .map(|m| (m.from, m.dest, m.payload.clone()))
+                        .collect()
+                })
+                .collect(),
+            wakes: strict_nulls.then(|| {
+                let layer_wakes = report.stats[c].layer_wakes.clone();
+                (report.wake_events[c].clone(), layer_wakes)
+            }),
+        })
+        .collect();
+    FleetSignature {
+        clusters,
+        forwarded: report.forwarded,
+        dropped: report.dropped,
+        cluster_drops: report.cluster_drops.clone(),
+        hop_forwards: report.hop_forwards,
+        ttl_drops: report.ttl_drops.clone(),
+    }
+}
+
+#[test]
+fn one_pass_signature_matches_the_per_cluster_rescan() {
+    // Interleaved and sharded drains emit each cluster's records
+    // spread through the stream, so per-cluster seq renumbering and
+    // null filtering are exercised on a mixed order; every workload
+    // also runs with nulls filtered out (`allow_wake_nulls`).
+    let workloads = (0..common::scaled_seeds(200))
+        .map(FleetWorkload::seeded)
+        .chain([
+            FleetWorkload::duty_cycle_day(64, 2),
+            FleetWorkload::alarm_cascade(64, 2),
+            FleetWorkload::aggregate_fanin(64, 4, 2),
+        ]);
+    let schedules = [
+        FleetSchedule::Batched,
+        FleetSchedule::Interleaved,
+        FleetSchedule::Sharded { shards: 2 },
+    ];
+    let mut nulls_filtered = 0;
+    for w in workloads {
+        for w in [w.clone(), w.allow_wake_nulls()] {
+            for schedule in schedules {
+                let report = w.run_scheduled_on(EngineKind::Analytic, schedule);
+                let reference = reference_signature(&report, w.strict_nulls());
+                let signature = report.signature();
+                let kept: usize = reference.clusters.iter().map(|c| c.records.len()).sum();
+                if kept < report.records.len() {
+                    nulls_filtered += 1;
+                }
+                assert_eq!(signature, reference, "{} under {schedule:?}", w.name());
+            }
+        }
+    }
+    assert!(nulls_filtered > 0, "no workload had a null to filter");
 }

@@ -10,10 +10,10 @@ mod common;
 
 use mbus_core::fleet::FleetStep;
 use mbus_core::scenario::Step;
-use mbus_core::trace::TraceFile;
+use mbus_core::trace::{Trace, TraceFile};
 use mbus_core::{
-    shrink_fleet, shrink_workload, Address, BusConfig, EngineKind, FleetNodeId, FleetWorkload,
-    FuId, FullPrefix, Message, NodeSpec, ShortPrefix, Workload,
+    shrink_fleet, shrink_workload, Address, BusConfig, EngineKind, FleetNodeId, FleetReport,
+    FleetWorkload, FuId, FullPrefix, Message, NodeSpec, ShortPrefix, Workload,
 };
 
 /// The injected-divergence marker the predicates hunt for.
@@ -192,5 +192,109 @@ fn minimized_trace_reproduces_from_disk_alone() {
     assert!(
         workload_diverges(w),
         "re-parsed minimized trace no longer reproduces the failure"
+    );
+}
+
+/// 64-bit FNV-1a, for pinning shrinker output as one number.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// `shrink_workload` or `shrink_fleet`.
+type Shrinker<W> = fn(&W, &mut dyn FnMut(&W) -> bool) -> W;
+
+/// Shrinks one input under `pred` and checks the contract every
+/// minimized repro must meet: the predicate still holds, the `.mbt`
+/// parses, and the re-parsed trace still trips the predicate. Returns
+/// the minimized `.mbt` text.
+fn shrink_and_check<W: Clone>(
+    input: &W,
+    pred: &dyn Fn(&W) -> bool,
+    shrink: Shrinker<W>,
+    to_file: fn(W) -> TraceFile,
+    from_trace: fn(&Trace) -> Option<&W>,
+) -> String {
+    let min = shrink(input, &mut |w| pred(w));
+    assert!(pred(&min), "shrinker lost the failure");
+    let text = to_file(min).to_mbt();
+    let reread = TraceFile::parse_str("min", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let reread = from_trace(&reread.trace).expect("trace kind survives the round trip");
+    assert!(pred(reread), "re-parsed trace lost the failure:\n{text}");
+    text
+}
+
+fn as_workload(trace: &Trace) -> Option<&Workload> {
+    match trace {
+        Trace::Workload(w) => Some(w),
+        Trace::Fleet(_) => None,
+    }
+}
+
+fn as_fleet(trace: &Trace) -> Option<&FleetWorkload> {
+    match trace {
+        Trace::Fleet(w) => Some(w),
+        Trace::Workload(_) => None,
+    }
+}
+
+/// The shrinker over the seeded generators, with predicates that reach
+/// every pass: deliveries on a single bus; injected replies (behavior
+/// dropping), mesh hops (route dropping) and gateway drops (cluster
+/// remap) on fleets. The minimized traces of seeds `0..64` are pinned
+/// as one digest, so a refactor of the passes must reproduce them
+/// byte for byte.
+#[test]
+fn seeded_shrinks_hold_their_predicates_and_pin_their_output() {
+    let delivered = |w: &Workload| {
+        w.run_on(EngineKind::Analytic)
+            .records
+            .iter()
+            .any(|r| !r.delivered_to.is_empty())
+    };
+    let fleet_preds: [fn(&FleetReport) -> bool; 3] = [
+        |r| r.injected_replies > 0,
+        |r| r.hop_forwards > 0,
+        |r| r.dropped > 0,
+    ];
+    let mut pinned = String::new();
+    let mut fleet_shrinks = 0;
+    for seed in 0..common::scaled_seeds(200) {
+        let w = Workload::seeded(seed);
+        let mut texts = Vec::new();
+        if delivered(&w) {
+            texts.push(shrink_and_check(
+                &w,
+                &delivered,
+                shrink_workload,
+                TraceFile::workload,
+                as_workload,
+            ));
+        }
+        let fleet = FleetWorkload::seeded(seed);
+        let report = fleet.run_on(EngineKind::Analytic);
+        for holds in fleet_preds {
+            if holds(&report) {
+                let pred = |w: &FleetWorkload| holds(&w.run_on(EngineKind::Analytic));
+                texts.push(shrink_and_check(
+                    &fleet,
+                    &pred,
+                    shrink_fleet,
+                    TraceFile::fleet,
+                    as_fleet,
+                ));
+                fleet_shrinks += 1;
+            }
+        }
+        if seed < 64 {
+            texts.iter().for_each(|t| pinned.push_str(t));
+        }
+    }
+    assert!(fleet_shrinks > 0, "no fleet seed tripped a predicate");
+    assert_eq!(
+        fnv1a(pinned.as_bytes()),
+        0x4662_ea01_9a1f_748d,
+        "minimized traces changed:\n{pinned}"
     );
 }

@@ -272,23 +272,42 @@ impl TraceFile {
     /// steps, and re-run signatures on every engine).
     pub fn to_mbt(&self) -> String {
         use fmt::Write as _;
+        // The preamble both kinds share; only the version choice (the
+        // v2 features a kind can carry) differs.
+        let (kind, config, horizon, strict_nulls, v2) = match &self.trace {
+            Trace::Workload(w) => (
+                "workload",
+                w.config(),
+                w.reply_horizon(),
+                w.strict_nulls(),
+                !w.behaviors().is_empty() || w.reply_horizon() != DEFAULT_REPLY_HORIZON,
+            ),
+            Trace::Fleet(w) => (
+                "fleet",
+                w.config(),
+                w.reply_horizon(),
+                w.strict_nulls(),
+                !w.behaviors().is_empty()
+                    || w.reply_horizon() != DEFAULT_REPLY_HORIZON
+                    || !w.mesh_routes().is_empty()
+                    || w.cluster_domains().iter().any(|&d| d != 0)
+                    || w.steps()
+                        .iter()
+                        .any(|s| matches!(s, FleetStep::Remote { ttl: Some(_), .. })),
+            ),
+        };
         let mut out = String::new();
+        let version = if v2 { 2 } else { 1 };
+        header(&mut out, version, kind, self.trace.name(), &self.meta);
+        write_config(&mut out, config);
+        if horizon != DEFAULT_REPLY_HORIZON {
+            let _ = writeln!(out, "horizon {horizon}");
+        }
+        if !strict_nulls {
+            out.push_str("wake-nulls\n");
+        }
         match &self.trace {
             Trace::Workload(w) => {
-                let version =
-                    if !w.behaviors().is_empty() || w.reply_horizon() != DEFAULT_REPLY_HORIZON {
-                        2
-                    } else {
-                        1
-                    };
-                header(&mut out, version, "workload", w.name(), &self.meta);
-                write_config(&mut out, w.config());
-                if w.reply_horizon() != DEFAULT_REPLY_HORIZON {
-                    let _ = writeln!(out, "horizon {}", w.reply_horizon());
-                }
-                if !w.strict_nulls() {
-                    out.push_str("wake-nulls\n");
-                }
                 for spec in w.node_specs() {
                     write_node(&mut out, spec);
                 }
@@ -300,26 +319,6 @@ impl TraceFile {
                 }
             }
             Trace::Fleet(w) => {
-                let version = if !w.behaviors().is_empty()
-                    || w.reply_horizon() != DEFAULT_REPLY_HORIZON
-                    || !w.mesh_routes().is_empty()
-                    || w.cluster_domains().iter().any(|&d| d != 0)
-                    || w.steps()
-                        .iter()
-                        .any(|s| matches!(s, FleetStep::Remote { ttl: Some(_), .. }))
-                {
-                    2
-                } else {
-                    1
-                };
-                header(&mut out, version, "fleet", w.name(), &self.meta);
-                write_config(&mut out, w.config());
-                if w.reply_horizon() != DEFAULT_REPLY_HORIZON {
-                    let _ = writeln!(out, "horizon {}", w.reply_horizon());
-                }
-                if !w.strict_nulls() {
-                    out.push_str("wake-nulls\n");
-                }
                 for (sensors, &domain) in w.cluster_specs().iter().zip(w.cluster_domains()) {
                     if sensors.is_empty() {
                         out.push_str("cluster -");

@@ -7,32 +7,42 @@
 //! predicate (*"does this still fail?"*) keeps returning `true`, so
 //! fuzz failures ship as minimal `.mbt` repros.
 //!
-//! The passes are classic ddmin plus domain-specific reductions, run
-//! to a fixpoint:
+//! Both trace kinds run the same passes, in this order, to a fixpoint:
 //!
-//! 1. **Drop steps** — chunk sizes halving from `len/2` to 1, so the
-//!    result is 1-minimal: no single remaining step can be removed.
+//! 1. **Drop steps** — ddmin with chunk sizes halving from `len/2` to
+//!    1, so the result is 1-minimal: no single remaining step can be
+//!    removed.
 //! 2. **Shrink payloads** — empty, then first half, then all-zero
 //!    bytes (the fixpoint loop re-halves until nothing shrinks).
 //! 3. **Shrink partial-drain counts** — toward 0, then halving.
-//! 4. **Drop topology** — any node (or cluster) no step references,
-//!    remapping the indices of later ones down; plus, for fleets,
+//! 4. **Drop reactive table entries** — any [`NodeBehavior`], then
+//!    (for fleets) any mesh route, the failure does not need, so
+//!    closed-loop repros keep only the behaviors that actually fire.
+//! 5. **Drop topology** — any node (or cluster) nothing references,
+//!    remapping the indices of later ones down; then, for fleets,
 //!    trimming trailing unreferenced sensors off each cluster.
-//! 5. **Drop reactive table entries** — any [`NodeBehavior`] or mesh
-//!    route the divergence does not need (closed-loop repros keep only
-//!    the behaviors that actually fire).
+//!
+//! The passes are written once, over a private trait the two kinds'
+//! decomposed states implement; each kind supplies only what differs:
+//! which steps carry a payload or a count, what references a node or
+//! cluster, and how a drop remaps indices.
 //!
 //! Every pass proposes a candidate, rebuilds it through the public
-//! workload builders, and keeps it only if the predicate still fails —
-//! so the shrinker can never manufacture an out-of-range reference or
-//! a scenario the builders would reject. There is no randomness: the
-//! same input and predicate always minimize to the same trace (the
-//! shrinker self-test pins this).
+//! workload builders, and keeps it only if the predicate still fails.
+//! The shrinker never manufactures an out-of-range reference or a
+//! scenario the builders would reject: in particular no candidate
+//! queues non-envelope traffic on a gateway's forwarding port (the
+//! traffic [`crate::Fleet::queue`] and the `.mbt` parser reject), so a
+//! cluster drop that would renumber a local send onto its own
+//! gateway's port is skipped. There is no randomness: the same input
+//! and predicate always minimize to the same trace (the shrinker
+//! self-test pins this).
 
 use std::collections::BTreeMap;
 
+use crate::addr::Address;
 use crate::behavior::NodeBehavior;
-use crate::fleet::{FleetNodeId, FleetStep, FleetWorkload, MeshRoute};
+use crate::fleet::{Fleet, FleetNodeId, FleetStep, FleetWorkload, MeshRoute};
 use crate::scenario::{Step, Workload};
 
 use super::{rebuild_fleet, rebuild_workload};
@@ -48,239 +58,142 @@ pub fn shrink_workload(
     workload: &Workload,
     predicate: &mut dyn FnMut(&Workload) -> bool,
 ) -> Workload {
-    if !predicate(workload) {
-        return workload.clone();
-    }
-    let mut state = WorkloadParts::of(workload);
-    loop {
-        let mut progress = false;
-        progress |= ddmin_steps(&mut state, predicate);
-        progress |= shrink_workload_payloads(&mut state, predicate);
-        progress |= shrink_workload_counts(&mut state, predicate);
-        progress |= drop_workload_behaviors(&mut state, predicate);
-        progress |= drop_unreferenced_nodes(&mut state, predicate);
-        if !progress {
-            return state.build();
-        }
-    }
+    shrink::<WorkloadParts>(workload, predicate)
 }
 
 /// Minimizes a failing fleet workload; the fleet counterpart of
-/// [`shrink_workload`] (steps, payloads, round counts, unreferenced
-/// clusters, trailing unreferenced sensors).
+/// [`shrink_workload`], adding the mesh-route and sensor-trim passes.
 pub fn shrink_fleet(
     workload: &FleetWorkload,
     predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
 ) -> FleetWorkload {
-    if !predicate(workload) {
-        return workload.clone();
+    shrink::<FleetParts>(workload, predicate)
+}
+
+fn shrink<P: Parts>(trace: &P::Trace, predicate: &mut dyn FnMut(&P::Trace) -> bool) -> P::Trace {
+    if !predicate(trace) {
+        return trace.clone();
     }
-    let mut state = FleetParts::of(workload);
+    let mut state = P::of(trace);
+    let steps = |s: &P| s.steps().len();
     loop {
-        let mut progress = false;
-        progress |= ddmin_fleet_steps(&mut state, predicate);
-        progress |= shrink_fleet_payloads(&mut state, predicate);
-        progress |= shrink_fleet_counts(&mut state, predicate);
-        progress |= drop_fleet_behaviors(&mut state, predicate);
-        progress |= drop_fleet_routes(&mut state, predicate);
-        progress |= drop_unreferenced_clusters(&mut state, predicate);
-        progress |= trim_trailing_sensors(&mut state, predicate);
+        let mut progress = ddmin(&mut state, predicate);
+        progress |= sweep(&mut state, predicate, steps, false, |s, i| {
+            let payloads = P::payload(&s.steps()[i]).map_or_else(Vec::new, payload_candidates);
+            let edit = |p| s.edited(|c| P::set_payload(&mut c.steps_mut()[i], p));
+            payloads.into_iter().map(edit).collect::<Vec<_>>()
+        });
+        progress |= sweep(&mut state, predicate, steps, false, |s, i| {
+            let counts = P::count(&s.steps()[i]).map_or_else(Vec::new, count_candidates);
+            let edit = |n| s.edited(|c| c.steps_mut()[i] = P::partial_drain(n));
+            counts.into_iter().map(edit).collect::<Vec<_>>()
+        });
+        for table in 0..P::TABLES {
+            progress |= sweep(
+                &mut state,
+                predicate,
+                |s| s.table_len(table),
+                true,
+                |s, i| Some(s.edited(|c| c.drop_entry(table, i))),
+            );
+        }
+        progress |= sweep(&mut state, predicate, P::units, true, P::without_unit);
+        progress |= sweep(&mut state, predicate, P::units, false, P::trimmed);
         if !progress {
             return state.build();
         }
     }
 }
 
-// ----------------------------------------------------------------------
-// Decomposed workload state
-// ----------------------------------------------------------------------
+/// One trace kind's decomposed state: the parts the passes edit, and
+/// what the passes need to know about each kind.
+trait Parts: Clone {
+    type Trace: Clone;
+    type Step;
+    /// Reactive tables the drop pass walks, in order.
+    const TABLES: usize;
 
-struct WorkloadParts {
-    name: String,
-    config: crate::config::BusConfig,
-    nodes: Vec<crate::node::NodeSpec>,
-    behaviors: BTreeMap<usize, NodeBehavior>,
-    horizon: u32,
-    steps: Vec<Step>,
-    strict_nulls: bool,
-}
-
-impl WorkloadParts {
-    fn of(w: &Workload) -> Self {
-        WorkloadParts {
-            name: w.name().to_string(),
-            config: *w.config(),
-            nodes: w.node_specs().to_vec(),
-            behaviors: w.behaviors().clone(),
-            horizon: w.reply_horizon(),
-            steps: w.steps().to_vec(),
-            strict_nulls: w.strict_nulls(),
-        }
+    fn of(trace: &Self::Trace) -> Self;
+    /// Reassembles the trace through the public builders.
+    fn build(&self) -> Self::Trace;
+    fn steps(&self) -> &[Self::Step];
+    fn steps_mut(&mut self) -> &mut Vec<Self::Step>;
+    /// The payload the payload pass may shrink, if `step` has one.
+    fn payload(step: &Self::Step) -> Option<&[u8]>;
+    fn set_payload(step: &mut Self::Step, payload: Vec<u8>);
+    /// The partial-drain count of `step`, if it is one.
+    fn count(step: &Self::Step) -> Option<usize>;
+    fn partial_drain(count: usize) -> Self::Step;
+    fn table_len(&self, table: usize) -> usize;
+    fn drop_entry(&mut self, table: usize, i: usize);
+    /// Topology units: nodes of a bus, clusters of a fleet.
+    fn units(&self) -> usize;
+    /// The state without unit `i`, later indices remapped down by one;
+    /// `None` while anything references `i`, or when the remapped
+    /// trace would be one the builders reject.
+    fn without_unit(&self, i: usize) -> Option<Self>;
+    /// A further reduction of unit `i` that keeps its index, if any.
+    fn trimmed(&self, _i: usize) -> Option<Self> {
+        None
     }
 
-    fn build(&self) -> Workload {
-        self.build_with(&self.nodes, &self.behaviors, &self.steps)
-    }
-
-    fn build_with_steps(&self, steps: &[Step]) -> Workload {
-        self.build_with(&self.nodes, &self.behaviors, steps)
-    }
-
-    fn build_with(
-        &self,
-        nodes: &[crate::node::NodeSpec],
-        behaviors: &BTreeMap<usize, NodeBehavior>,
-        steps: &[Step],
-    ) -> Workload {
-        rebuild_workload(
-            &self.name,
-            self.config,
-            nodes,
-            behaviors,
-            self.horizon,
-            steps,
-            self.strict_nulls,
-        )
-    }
-}
-
-struct FleetParts {
-    name: String,
-    config: crate::config::BusConfig,
-    clusters: Vec<Vec<bool>>,
-    domains: Vec<usize>,
-    routes: Vec<MeshRoute>,
-    behaviors: BTreeMap<FleetNodeId, NodeBehavior>,
-    horizon: u32,
-    steps: Vec<FleetStep>,
-    strict_nulls: bool,
-}
-
-impl FleetParts {
-    fn of(w: &FleetWorkload) -> Self {
-        FleetParts {
-            name: w.name().to_string(),
-            config: *w.config(),
-            clusters: w.cluster_specs().to_vec(),
-            domains: w.cluster_domains().to_vec(),
-            routes: w.mesh_routes().to_vec(),
-            behaviors: w.behaviors().clone(),
-            horizon: w.reply_horizon(),
-            steps: w.steps().to_vec(),
-            strict_nulls: w.strict_nulls(),
-        }
-    }
-
-    fn build(&self) -> FleetWorkload {
-        self.build_full(
-            &self.clusters,
-            &self.domains,
-            &self.routes,
-            &self.behaviors,
-            &self.steps,
-        )
-    }
-
-    fn build_with_steps(&self, steps: &[FleetStep]) -> FleetWorkload {
-        self.build_full(
-            &self.clusters,
-            &self.domains,
-            &self.routes,
-            &self.behaviors,
-            steps,
-        )
-    }
-
-    fn build_full(
-        &self,
-        clusters: &[Vec<bool>],
-        domains: &[usize],
-        routes: &[MeshRoute],
-        behaviors: &BTreeMap<FleetNodeId, NodeBehavior>,
-        steps: &[FleetStep],
-    ) -> FleetWorkload {
-        rebuild_fleet(
-            &self.name,
-            self.config,
-            clusters,
-            domains,
-            routes,
-            behaviors,
-            self.horizon,
-            steps,
-            self.strict_nulls,
-        )
+    fn edited(&self, edit: impl FnOnce(&mut Self)) -> Self {
+        let mut candidate = self.clone();
+        edit(&mut candidate);
+        candidate
     }
 }
 
 // ----------------------------------------------------------------------
-// Pass 1: ddmin over steps
+// The passes
 // ----------------------------------------------------------------------
 
-fn ddmin_steps(state: &mut WorkloadParts, predicate: &mut dyn FnMut(&Workload) -> bool) -> bool {
-    let mut steps = state.steps.clone();
-    let mut progress = false;
-    let mut chunk = steps.len() / 2;
-    while chunk >= 1 {
-        let mut lo = 0;
-        while lo < steps.len() {
-            let hi = (lo + chunk).min(steps.len());
-            let mut candidate = steps.clone();
-            candidate.drain(lo..hi);
-            if predicate(&state.build_with_steps(&candidate)) {
-                steps = candidate;
-                progress = true;
-            } else {
-                lo = hi;
-            }
-        }
-        chunk /= 2;
-    }
-    state.steps = steps;
-    progress
-}
-
-fn ddmin_fleet_steps(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
+/// Walks sites `0..len(state)` (re-read after every site), trying
+/// `candidates(state, site)` in order and keeping the first the
+/// predicate still fails on. With `retry`, a site whose candidate was
+/// kept is tried again: the removal passes use this so whatever slid
+/// into the removed slot gets its turn.
+fn sweep<P: Parts, I: IntoIterator<Item = P>>(
+    state: &mut P,
+    predicate: &mut dyn FnMut(&P::Trace) -> bool,
+    len: impl Fn(&P) -> usize,
+    retry: bool,
+    candidates: impl Fn(&P, usize) -> I,
 ) -> bool {
-    let mut steps = state.steps.clone();
     let mut progress = false;
-    let mut chunk = steps.len() / 2;
-    while chunk >= 1 {
-        let mut lo = 0;
-        while lo < steps.len() {
-            let hi = (lo + chunk).min(steps.len());
-            let mut candidate = steps.clone();
-            candidate.drain(lo..hi);
-            if predicate(&state.build_with_steps(&candidate)) {
-                steps = candidate;
+    let mut site = 0;
+    while site < len(state) {
+        match candidates(state, site)
+            .into_iter()
+            .find(|c| predicate(&c.build()))
+        {
+            Some(candidate) => {
+                *state = candidate;
                 progress = true;
-            } else {
-                lo = hi;
+                site += usize::from(!retry);
             }
+            None => site += 1,
         }
-        chunk /= 2;
     }
-    state.steps = steps;
     progress
 }
 
-// ----------------------------------------------------------------------
-// Pass 2: payload shrinking
-// ----------------------------------------------------------------------
-
-/// Whether `dest` could be a gateway forwarding port: fu 0 of the
-/// gateway's fixed short prefix (0x1), or fu 0 of any full prefix
-/// (gateway presences own per-cluster full prefixes the shrinker
-/// cannot enumerate, so it stays conservative).
-fn targets_forwarding_port(dest: crate::addr::Address) -> bool {
-    use crate::addr::Address;
-    match dest {
-        Address::Short { prefix, fu_id } => prefix.raw() == 0x1 && fu_id.raw() == 0,
-        Address::Full { fu_id, .. } => fu_id.raw() == 0,
-        Address::Broadcast { .. } => false,
+/// ddmin over steps: removes chunks of halving size, each chunk size
+/// swept from the front.
+fn ddmin<P: Parts>(state: &mut P, predicate: &mut dyn FnMut(&P::Trace) -> bool) -> bool {
+    let mut progress = false;
+    let mut chunk = state.steps().len() / 2;
+    while chunk >= 1 {
+        let chunks = |s: &P| s.steps().len().div_ceil(chunk);
+        progress |= sweep(state, predicate, chunks, true, |s, k| {
+            Some(s.edited(|c| {
+                let steps = c.steps_mut();
+                steps.drain(k * chunk..((k + 1) * chunk).min(steps.len()));
+            }))
+        });
+        chunk /= 2;
     }
+    progress
 }
 
 /// Candidate reductions for one payload, in preference order. The
@@ -300,41 +213,226 @@ fn payload_candidates(payload: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
-fn shrink_workload_payloads(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let payload = match &state.steps[i] {
-            Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } => msg.payload().to_vec(),
-            _ => continue,
-        };
-        for candidate in payload_candidates(&payload) {
-            let mut steps = state.steps.clone();
-            match &mut steps[i] {
-                Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } => {
-                    *msg = msg.with_payload(candidate);
-                }
-                _ => unreachable!("filtered above"),
-            }
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
+fn count_candidates(count: usize) -> Vec<usize> {
+    match count {
+        0 => Vec::new(),
+        1 => vec![0],
+        _ => vec![0, count / 2],
     }
-    progress
 }
 
-fn shrink_fleet_payloads(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let payload = match &state.steps[i] {
+/// Removes the `i`-th entry (in key order) of a behavior table.
+fn drop_nth<K: Ord + Copy>(behaviors: &mut BTreeMap<K, NodeBehavior>, i: usize) {
+    if let Some(&key) = behaviors.keys().nth(i) {
+        behaviors.remove(&key);
+    }
+}
+
+// ----------------------------------------------------------------------
+// Single bus
+// ----------------------------------------------------------------------
+
+#[derive(Clone)]
+struct WorkloadParts {
+    name: String,
+    config: crate::config::BusConfig,
+    nodes: Vec<crate::node::NodeSpec>,
+    behaviors: BTreeMap<usize, NodeBehavior>,
+    horizon: u32,
+    steps: Vec<Step>,
+    strict_nulls: bool,
+}
+
+impl Parts for WorkloadParts {
+    type Trace = Workload;
+    type Step = Step;
+    const TABLES: usize = 1;
+
+    fn of(w: &Workload) -> Self {
+        WorkloadParts {
+            name: w.name().to_string(),
+            config: *w.config(),
+            nodes: w.node_specs().to_vec(),
+            behaviors: w.behaviors().clone(),
+            horizon: w.reply_horizon(),
+            steps: w.steps().to_vec(),
+            strict_nulls: w.strict_nulls(),
+        }
+    }
+
+    fn build(&self) -> Workload {
+        rebuild_workload(
+            &self.name,
+            self.config,
+            &self.nodes,
+            &self.behaviors,
+            self.horizon,
+            &self.steps,
+            self.strict_nulls,
+        )
+    }
+
+    fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    fn steps_mut(&mut self) -> &mut Vec<Step> {
+        &mut self.steps
+    }
+
+    fn payload(step: &Step) -> Option<&[u8]> {
+        match step {
+            Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } => Some(msg.payload()),
+            _ => None,
+        }
+    }
+
+    fn set_payload(step: &mut Step, payload: Vec<u8>) {
+        if let Step::Queue { msg, .. } | Step::QueueUnchecked { msg, .. } = step {
+            *msg = msg.with_payload(payload);
+        }
+    }
+
+    fn count(step: &Step) -> Option<usize> {
+        match *step {
+            Step::RunTransactions { count } => Some(count),
+            _ => None,
+        }
+    }
+
+    fn partial_drain(count: usize) -> Step {
+        Step::RunTransactions { count }
+    }
+
+    fn table_len(&self, _table: usize) -> usize {
+        self.behaviors.len()
+    }
+
+    fn drop_entry(&mut self, _table: usize, i: usize) {
+        drop_nth(&mut self.behaviors, i);
+    }
+
+    fn units(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Steps and behaviors reference nodes by index. Destination
+    /// *addresses* are left alone — a send whose receiver disappears
+    /// legally resolves to [`crate::TxOutcome::NoDestination`], and the
+    /// predicate decides whether the failure survives.
+    fn without_unit(&self, i: usize) -> Option<Self> {
+        // A behavior entry is a reference too: the table pass clears it
+        // first when it is not needed, then the node falls on the next
+        // fixpoint iteration.
+        if self.behaviors.contains_key(&i) {
+            return None;
+        }
+        let shift = |n: usize| n - usize::from(n > i);
+        let mut c = self.clone();
+        c.nodes.remove(i);
+        c.behaviors = self
+            .behaviors
+            .iter()
+            .map(|(&n, b)| (shift(n), b.clone()))
+            .collect();
+        for step in &mut c.steps {
+            if let Step::Queue { node, .. }
+            | Step::QueueUnchecked { node, .. }
+            | Step::Wakeup { node } = step
+            {
+                if *node == i {
+                    return None;
+                }
+                *node = shift(*node);
+            }
+        }
+        Some(c)
+    }
+}
+
+// ----------------------------------------------------------------------
+// Fleet
+// ----------------------------------------------------------------------
+
+#[derive(Clone)]
+struct FleetParts {
+    name: String,
+    config: crate::config::BusConfig,
+    clusters: Vec<Vec<bool>>,
+    domains: Vec<usize>,
+    routes: Vec<MeshRoute>,
+    behaviors: BTreeMap<FleetNodeId, NodeBehavior>,
+    horizon: u32,
+    steps: Vec<FleetStep>,
+    strict_nulls: bool,
+}
+
+/// Whether `dest` could be a gateway forwarding port: fu 0 of the
+/// gateway's fixed short prefix (0x1), or fu 0 of any full prefix
+/// (gateway presences own per-cluster full prefixes the shrinker
+/// cannot enumerate, so it stays conservative).
+fn targets_forwarding_port(dest: Address) -> bool {
+    match dest {
+        Address::Short { prefix, fu_id } => prefix.raw() == 0x1 && fu_id.raw() == 0,
+        Address::Full { fu_id, .. } => fu_id.raw() == 0,
+        Address::Broadcast { .. } => false,
+    }
+}
+
+/// The node identities a fleet step names.
+fn step_ids(step: &mut FleetStep) -> Vec<&mut FleetNodeId> {
+    match step {
+        FleetStep::Local { src, .. } => vec![src],
+        FleetStep::Remote { src, dest, .. } => vec![src, dest],
+        FleetStep::Wakeup { node } => vec![node],
+        FleetStep::Drain | FleetStep::RunRounds { .. } => Vec::new(),
+    }
+}
+
+impl Parts for FleetParts {
+    type Trace = FleetWorkload;
+    type Step = FleetStep;
+    /// Behaviors, then mesh routes.
+    const TABLES: usize = 2;
+
+    fn of(w: &FleetWorkload) -> Self {
+        FleetParts {
+            name: w.name().to_string(),
+            config: *w.config(),
+            clusters: w.cluster_specs().to_vec(),
+            domains: w.cluster_domains().to_vec(),
+            routes: w.mesh_routes().to_vec(),
+            behaviors: w.behaviors().clone(),
+            horizon: w.reply_horizon(),
+            steps: w.steps().to_vec(),
+            strict_nulls: w.strict_nulls(),
+        }
+    }
+
+    fn build(&self) -> FleetWorkload {
+        rebuild_fleet(
+            &self.name,
+            self.config,
+            &self.clusters,
+            &self.domains,
+            &self.routes,
+            &self.behaviors,
+            self.horizon,
+            &self.steps,
+            self.strict_nulls,
+        )
+    }
+
+    fn steps(&self) -> &[FleetStep] {
+        &self.steps
+    }
+
+    fn steps_mut(&mut self) -> &mut Vec<FleetStep> {
+        &mut self.steps
+    }
+
+    fn payload(step: &FleetStep) -> Option<&[u8]> {
+        match step {
             // A local send to a forwarding port (fu 0 of a gateway
             // presence) is an envelope *because its payload decodes as
             // one* — shrinking the payload would turn it into traffic
@@ -342,371 +440,115 @@ fn shrink_fleet_payloads(
             // treats a rejected step as a caller bug. Leave such
             // payloads alone; the step-removal pass can still drop the
             // whole send.
-            FleetStep::Local { msg, .. } if targets_forwarding_port(msg.dest()) => continue,
-            FleetStep::Local { msg, .. } => msg.payload().to_vec(),
-            FleetStep::Remote { payload, .. } => payload.clone(),
-            _ => continue,
-        };
-        for candidate in payload_candidates(&payload) {
-            let mut steps = state.steps.clone();
-            match &mut steps[i] {
-                FleetStep::Local { msg, .. } => *msg = msg.with_payload(candidate),
-                FleetStep::Remote { payload, .. } => *payload = candidate,
-                _ => unreachable!("filtered above"),
-            }
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
+            FleetStep::Local { msg, .. } if targets_forwarding_port(msg.dest()) => None,
+            FleetStep::Local { msg, .. } => Some(msg.payload()),
+            FleetStep::Remote { payload, .. } => Some(payload),
+            _ => None,
         }
     }
-    progress
-}
 
-// ----------------------------------------------------------------------
-// Pass 3: partial-drain count shrinking
-// ----------------------------------------------------------------------
-
-fn count_candidates(count: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    if count > 0 {
-        out.push(0);
-        if count > 1 {
-            out.push(count / 2);
+    fn set_payload(step: &mut FleetStep, candidate: Vec<u8>) {
+        match step {
+            FleetStep::Local { msg, .. } => *msg = msg.with_payload(candidate),
+            FleetStep::Remote { payload, .. } => *payload = candidate,
+            _ => {}
         }
     }
-    out
-}
 
-fn shrink_workload_counts(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let Step::RunTransactions { count } = state.steps[i] else {
-            continue;
-        };
-        for candidate in count_candidates(count) {
-            let mut steps = state.steps.clone();
-            steps[i] = Step::RunTransactions { count: candidate };
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
+    fn count(step: &FleetStep) -> Option<usize> {
+        match *step {
+            FleetStep::RunRounds { rounds } => Some(rounds),
+            _ => None,
         }
     }
-    progress
-}
 
-fn shrink_fleet_counts(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for i in 0..state.steps.len() {
-        let FleetStep::RunRounds { rounds } = state.steps[i] else {
-            continue;
-        };
-        for candidate in count_candidates(rounds) {
-            let mut steps = state.steps.clone();
-            steps[i] = FleetStep::RunRounds { rounds: candidate };
-            if predicate(&state.build_with_steps(&steps)) {
-                state.steps = steps;
-                progress = true;
-                break;
-            }
-        }
+    fn partial_drain(rounds: usize) -> FleetStep {
+        FleetStep::RunRounds { rounds }
     }
-    progress
-}
 
-// ----------------------------------------------------------------------
-// Pass 4: reactive-table dropping
-// ----------------------------------------------------------------------
-
-/// Removes each behavior entry in turn when the failure survives
-/// without it, so closed-loop repros carry only the behaviors that
-/// actually fire.
-fn drop_workload_behaviors(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for node in state.behaviors.keys().copied().collect::<Vec<_>>() {
-        let mut behaviors = state.behaviors.clone();
-        behaviors.remove(&node);
-        if predicate(&state.build_with(&state.nodes, &behaviors, &state.steps)) {
-            state.behaviors = behaviors;
-            progress = true;
-        }
+    fn table_len(&self, table: usize) -> usize {
+        [self.behaviors.len(), self.routes.len()][table]
     }
-    progress
-}
 
-/// The fleet counterpart of [`drop_workload_behaviors`].
-fn drop_fleet_behaviors(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for id in state.behaviors.keys().copied().collect::<Vec<_>>() {
-        let mut behaviors = state.behaviors.clone();
-        behaviors.remove(&id);
-        let candidate = state.build_full(
-            &state.clusters,
-            &state.domains,
-            &state.routes,
-            &behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.behaviors = behaviors;
-            progress = true;
-        }
-    }
-    progress
-}
-
-/// Removes each mesh route in turn when the failure survives without
-/// it (an envelope that loses its only route legally becomes an
-/// unroutable drop; the predicate decides whether that still fails).
-fn drop_fleet_routes(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    let mut i = 0;
-    while i < state.routes.len() {
-        let mut routes = state.routes.clone();
-        routes.remove(i);
-        let candidate = state.build_full(
-            &state.clusters,
-            &state.domains,
-            &routes,
-            &state.behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.routes = routes;
-            progress = true;
-            // Re-check the route that slid into slot `i`.
+    /// Dropping a route is always legal: an envelope that loses its
+    /// only route becomes an unroutable drop, and the predicate decides
+    /// whether that still fails.
+    fn drop_entry(&mut self, table: usize, i: usize) {
+        if table == 0 {
+            drop_nth(&mut self.behaviors, i);
         } else {
-            i += 1;
+            self.routes.remove(i);
         }
     }
-    progress
-}
 
-// ----------------------------------------------------------------------
-// Pass 5: topology dropping
-// ----------------------------------------------------------------------
-
-/// Drops any node no step references by index, remapping the indices
-/// of later nodes down by one. Destination *addresses* are left alone
-/// — a send whose receiver disappears legally resolves to
-/// [`crate::TxOutcome::NoDestination`], and the predicate decides
-/// whether the failure survives.
-fn drop_unreferenced_nodes(
-    state: &mut WorkloadParts,
-    predicate: &mut dyn FnMut(&Workload) -> bool,
-) -> bool {
-    let mut progress = false;
-    let mut i = 0;
-    while i < state.nodes.len() {
-        // A behavior entry is a reference too: the drop-behaviors pass
-        // clears it first when it is not needed, then the node falls
-        // on the next fixpoint iteration.
-        let referenced = state.behaviors.contains_key(&i)
-            || state.steps.iter().any(|s| match s {
-                Step::Queue { node, .. }
-                | Step::QueueUnchecked { node, .. }
-                | Step::Wakeup { node } => *node == i,
-                _ => false,
-            });
-        if referenced {
-            i += 1;
-            continue;
-        }
-        let mut nodes = state.nodes.clone();
-        nodes.remove(i);
-        let behaviors: BTreeMap<usize, NodeBehavior> = state
-            .behaviors
-            .iter()
-            .map(|(&node, b)| (node - usize::from(node > i), b.clone()))
-            .collect();
-        let steps: Vec<Step> = state
-            .steps
-            .iter()
-            .cloned()
-            .map(|s| match s {
-                Step::Queue { node, msg } => Step::Queue {
-                    node: node - usize::from(node > i),
-                    msg,
-                },
-                Step::QueueUnchecked { node, msg } => Step::QueueUnchecked {
-                    node: node - usize::from(node > i),
-                    msg,
-                },
-                Step::Wakeup { node } => Step::Wakeup {
-                    node: node - usize::from(node > i),
-                },
-                other => other,
-            })
-            .collect();
-        let candidate = state.build_with(&nodes, &behaviors, &steps);
-        if predicate(&candidate) {
-            state.nodes = nodes;
-            state.behaviors = behaviors;
-            state.steps = steps;
-            progress = true;
-            // Re-check the node that slid into slot `i`.
-        } else {
-            i += 1;
-        }
+    fn units(&self) -> usize {
+        self.clusters.len()
     }
-    progress
-}
 
-/// Drops any cluster no step references, remapping later cluster
-/// indices down by one — the fleet analog of
-/// [`drop_unreferenced_nodes`]. Remote destinations naming a dropped
-/// cluster would dangle, so a cluster referenced *anywhere* (src,
-/// dest, or wakeup) is kept.
-fn drop_unreferenced_clusters(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    let mut i = 0;
-    while i < state.clusters.len() {
+    /// Remote destinations naming a dropped cluster would dangle, so a
+    /// cluster referenced *anywhere* (src, dest, or wakeup) is kept.
+    fn without_unit(&self, i: usize) -> Option<Self> {
         // Behaviors hosted on the cluster and mesh routes hopping
-        // *through* it count as references; the reactive-table passes
-        // clear those first when they are not load-bearing.
-        let referenced = state.behaviors.keys().any(|id| id.cluster == i)
-            || state.routes.iter().any(|r| r.via == i)
-            || state.steps.iter().any(|s| match s {
-                FleetStep::Local { src, .. } => src.cluster == i,
-                FleetStep::Remote { src, dest, .. } => src.cluster == i || dest.cluster == i,
-                FleetStep::Wakeup { node } => node.cluster == i,
-                _ => false,
-            });
-        if referenced {
-            i += 1;
-            continue;
+        // *through* it count as references; the table pass clears
+        // those first when they are not load-bearing.
+        if self.behaviors.keys().any(|id| id.cluster == i) || self.routes.iter().any(|r| r.via == i)
+        {
+            return None;
         }
-        let mut clusters = state.clusters.clone();
-        clusters.remove(i);
-        let mut domains = state.domains.clone();
-        domains.remove(i);
         let shift = |c: usize| c - usize::from(c > i);
+        let mut c = self.clone();
+        c.clusters.remove(i);
+        c.domains.remove(i);
         // Route range bounds live in cluster-index space; shift them
         // with the clusters they cover (`via == i` is excluded above).
-        let routes: Vec<MeshRoute> = state
-            .routes
-            .iter()
-            .map(|r| MeshRoute {
-                domain: r.domain,
-                lo: shift(r.lo),
-                hi: shift(r.hi),
-                via: shift(r.via),
-            })
-            .collect();
-        let remap = |mut id: FleetNodeId| {
-            id.cluster = shift(id.cluster);
-            id
-        };
-        let behaviors: BTreeMap<FleetNodeId, NodeBehavior> = state
+        for r in &mut c.routes {
+            (r.lo, r.hi, r.via) = (shift(r.lo), shift(r.hi), shift(r.via));
+        }
+        c.behaviors = self
             .behaviors
             .iter()
-            .map(|(&id, b)| (remap(id), b.clone()))
+            .map(|(&id, b)| (FleetNodeId::new(shift(id.cluster), id.node), b.clone()))
             .collect();
-        let steps: Vec<FleetStep> = state
-            .steps
-            .iter()
-            .cloned()
-            .map(|s| match s {
-                FleetStep::Local { src, msg } => FleetStep::Local {
-                    src: remap(src),
-                    msg,
-                },
-                FleetStep::Remote {
-                    src,
-                    dest,
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                } => FleetStep::Remote {
-                    src: remap(src),
-                    dest: remap(dest),
-                    fu,
-                    payload,
-                    priority,
-                    ttl,
-                },
-                FleetStep::Wakeup { node } => FleetStep::Wakeup { node: remap(node) },
-                other => other,
-            })
-            .collect();
-        let candidate = state.build_full(&clusters, &domains, &routes, &behaviors, &steps);
-        if predicate(&candidate) {
-            state.clusters = clusters;
-            state.domains = domains;
-            state.routes = routes;
-            state.behaviors = behaviors;
-            state.steps = steps;
-            progress = true;
-        } else {
-            i += 1;
+        for step in &mut c.steps {
+            for id in step_ids(step) {
+                if id.cluster == i {
+                    return None;
+                }
+                id.cluster = shift(id.cluster);
+            }
+            // A full-prefix destination keeps its address, so a send
+            // aimed at a later cluster's gateway presence can land on
+            // the sender's own forwarding port once renumbered.
+            if let FleetStep::Local { src, msg } = step {
+                if Fleet::misuses_forwarding_port(src.cluster, msg) {
+                    return None;
+                }
+            }
         }
+        Some(c)
     }
-    progress
-}
 
-/// Trims each cluster's sensor list down to the highest ring position
-/// any step still references (position 0 is the gateway; sensors are
-/// 1-based), one cluster at a time.
-fn trim_trailing_sensors(
-    state: &mut FleetParts,
-    predicate: &mut dyn FnMut(&FleetWorkload) -> bool,
-) -> bool {
-    let mut progress = false;
-    for c in 0..state.clusters.len() {
-        let max_node = state
+    /// Trims cluster `i`'s sensor list down to the highest ring
+    /// position anything still references (position 0 is the gateway;
+    /// sensors are 1-based).
+    fn trimmed(&self, i: usize) -> Option<Self> {
+        let mut c = self.clone();
+        let max_node = c
             .steps
-            .iter()
-            .flat_map(|s| match s {
-                FleetStep::Local { src, .. } => vec![*src],
-                FleetStep::Remote { src, dest, .. } => vec![*src, *dest],
-                FleetStep::Wakeup { node } => vec![*node],
-                _ => Vec::new(),
-            })
-            .chain(state.behaviors.keys().copied())
-            .filter(|id| id.cluster == c)
+            .iter_mut()
+            .flat_map(step_ids)
+            .map(|id| *id)
+            .chain(self.behaviors.keys().copied())
+            .filter(|id| id.cluster == i)
             .map(|id| id.node)
             .max()
             .unwrap_or(0);
-        if max_node >= state.clusters[c].len() {
-            continue;
+        if max_node >= c.clusters[i].len() {
+            return None;
         }
-        let mut clusters = state.clusters.clone();
-        clusters[c].truncate(max_node);
-        let candidate = state.build_full(
-            &clusters,
-            &state.domains,
-            &state.routes,
-            &state.behaviors,
-            &state.steps,
-        );
-        if predicate(&candidate) {
-            state.clusters = clusters;
-            progress = true;
-        }
+        c.clusters[i].truncate(max_node);
+        Some(c)
     }
-    progress
 }
 
 #[cfg(test)]

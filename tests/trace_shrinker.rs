@@ -13,7 +13,7 @@ use mbus_core::scenario::Step;
 use mbus_core::trace::{Trace, TraceFile};
 use mbus_core::{
     shrink_fleet, shrink_workload, Address, BusConfig, EngineKind, FleetNodeId, FleetReport,
-    FleetWorkload, FuId, FullPrefix, Message, NodeSpec, ShortPrefix, Workload,
+    FleetWorkload, FuId, FullPrefix, Message, NodeSpec, ShortPrefix, TxOutcome, Workload,
 };
 
 /// The injected-divergence marker the predicates hunt for.
@@ -193,6 +193,45 @@ fn minimized_trace_reproduces_from_disk_alone() {
         workload_diverges(w),
         "re-parsed minimized trace no longer reproduces the failure"
     );
+}
+
+/// A legal fleet the cluster-drop pass once broke: cluster 2 sends
+/// non-envelope traffic to cluster 1's gateway presence
+/// (`full:0x0001f.0`), which no node on cluster 2 owns. Dropping
+/// cluster 0 would renumber the sender to cluster 1 and turn the send
+/// into traffic to its *own* forwarding port, which `Fleet::queue`
+/// rejects — the shrinker must skip that candidate, not panic on it.
+#[test]
+fn cluster_drop_never_aims_a_local_send_at_its_own_forwarding_port() {
+    let w = FleetWorkload::new("shrinker/port_remap", BusConfig::default())
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .send_local(
+            FleetNodeId::new(2, 1),
+            Message::new(
+                Address::full(FullPrefix::new(0x0001f).expect("prefix"), FuId::ZERO),
+                vec![0xAA],
+            ),
+        );
+    let mut no_destination = |w: &FleetWorkload| {
+        w.run_on(EngineKind::Analytic)
+            .records
+            .iter()
+            .any(|r| r.record.outcome == TxOutcome::NoDestination)
+    };
+    assert!(no_destination(&w), "the input must trip the predicate");
+    let text = TraceFile::fleet(w.clone()).to_mbt();
+    TraceFile::parse_str("input", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+
+    let min = shrink_fleet(&w, &mut no_destination);
+    assert!(no_destination(&min), "shrinker lost the failure");
+    let text = TraceFile::fleet(min).to_mbt();
+    let reread = TraceFile::parse_str("min", &text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    let Trace::Fleet(reread) = &reread.trace else {
+        panic!("repro should be a fleet trace");
+    };
+    assert!(no_destination(reread), "re-parsed trace lost the failure");
 }
 
 /// 64-bit FNV-1a, for pinning shrinker output as one number.

@@ -8,7 +8,7 @@
 //! | id | constraint |
 //! |----|------------|
 //! | `unsafe-safety-comment` | every `unsafe` block/fn/impl is immediately preceded by a `// SAFETY:` comment (an `unsafe fn` may carry a `# Safety` doc section instead) |
-//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/pool.rs`, `sweep.rs`, `parallel.rs` |
+//! | `thread-outside-audited` | `std::thread::{spawn, scope, Builder}` appear only in the audited threading layers: `fleet/pool.rs`, `sweep.rs` |
 //! | `nondeterministic-clock` | `Instant::now` / `SystemTime` appear only in `crates/bench/` or under an explicit `// WALL-CLOCK:` marker — signatures must be pure functions of seeds |
 //! | `rc-send-audit` | a file containing `impl Send` may not also use `Rc`/`RefCell` unless it carries a `// SEND-AUDIT:` comment |
 //! | `hot-path-unwrap` | `.unwrap()` / `.expect(` are forbidden in the engine hot paths (`core/src/analytic.rs`, `core/src/engine.rs`) outside `#[cfg(test)]` |
@@ -82,7 +82,7 @@ impl fmt::Display for Finding {
 
 /// Files (suffix match) where `std::thread` primitives are allowed:
 /// the audited threading layers every other module must go through.
-const THREAD_AUDITED: [&str; 3] = ["fleet/pool.rs", "core/src/sweep.rs", "core/src/parallel.rs"];
+const THREAD_AUDITED: [&str; 2] = ["fleet/pool.rs", "core/src/sweep.rs"];
 
 /// The engine hot-path files for the unwrap/expect ban.
 const HOT_PATHS: [&str; 2] = ["core/src/analytic.rs", "core/src/engine.rs"];
@@ -258,7 +258,7 @@ impl<'a> FileContext<'a> {
                         RuleId::ThreadOutsideAudited,
                         format!(
                             "`thread::{name}` outside the audited threading layers \
-                             (fleet/pool.rs, sweep.rs, parallel.rs) — route threading \
+                             (fleet/pool.rs, sweep.rs) — route threading \
                              through WorkerPool or SweepRunner"
                         ),
                     ));
@@ -507,6 +507,12 @@ mod tests {
         );
         assert!(rules_hit("crates/core/src/fleet/pool.rs", src).is_empty());
         assert!(rules_hit("crates/core/src/sweep.rs", src).is_empty());
+        // The parallel-MBus model spawns no threads, so it is not
+        // audited.
+        assert_eq!(
+            rules_hit("crates/core/src/parallel.rs", src),
+            vec![RuleId::ThreadOutsideAudited]
+        );
     }
 
     #[test]

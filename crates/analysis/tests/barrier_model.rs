@@ -58,8 +58,9 @@ fn worker_panic_mid_epoch_is_ferried_not_lost() {
     }
 }
 
-/// The driver unwinding mid-epoch (a sink panic in
-/// `ShardedFleet::drive_sink`) exercises the wait-on-drop guard: the
+/// The driver unwinding mid-epoch (a panic in shard 0, which
+/// `ShardedFleet::drive` runs on the driver thread) exercises the
+/// wait-on-drop guard: the
 /// guard must still drain the in-flight generation before the pool
 /// shuts down, on every schedule.
 #[test]

@@ -1,7 +1,7 @@
 //! A dependency-free JSON writer for bench artifacts.
 //!
 //! The bench crate publishes machine-readable results (e.g.
-//! `BENCH_interleave.json`, uploaded as a CI artifact) without pulling
+//! `BENCH_scenario.json`, uploaded as a CI artifact) without pulling
 //! a serialization dependency into the workspace: [`Json`] is a tiny
 //! value tree with a spec-compliant `Display`. Writing is all this
 //! module does — the artifacts are consumed by external tooling, so no

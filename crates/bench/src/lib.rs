@@ -22,7 +22,6 @@
 //! | `monitor_alert` | §6.3.2 numbers, engine-generic (both engines) |
 //! | `storm` | many-node contention storms on both engines |
 //! | `sweep` | parallel engine-backed sweeps, serial-vs-sharded verified |
-//! | `fleet` | gateway-bridged 100+-node fleets, cross-checked on both engines |
 //! | `bitbang` | §6.6 numbers |
 //! | `ablations` | DESIGN.md's design-choice studies |
 //!

@@ -84,7 +84,7 @@ pub mod shard;
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub use shard::{FleetRecordSink, ShardBalance, ShardedFleet};
+pub use shard::ShardedFleet;
 
 use crate::addr::{Address, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{self, NodeBehavior, DEFAULT_REPLY_HORIZON};
@@ -121,8 +121,8 @@ pub const MAX_SENSORS_PER_CLUSTER: usize = ShortPrefix::USABLE - 1;
 /// Highest cluster count a fleet supports. Every fleet-global full
 /// prefix packs as `(cluster << 4) | slot`: the 20-bit prefix space
 /// splits into a 16-bit cluster field and a 4-bit per-bus slot, so the
-/// fleet layer addresses exactly `2^16` buses — the 65536-bus /
-/// 262144-node headline fleet the `interleave` bench drives. Slots
+/// fleet layer addresses exactly `2^16` buses (the last on prefix block
+/// `0xFFFF`, which `tests/sharded_fleet.rs` routes through). Slots
 /// `0x1..=0xD` are the ≤14 sensor ring positions, slot `0xF` is the
 /// gateway's presence on that bus, and slots `0x0`/`0xE` are never
 /// allocated (which gives seeded workloads a prefix block that is
@@ -1133,12 +1133,11 @@ pub enum FleetSchedule {
     Interleaved,
     /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
     /// a persistent worker pool, one interleaved scheduler each,
-    /// shards rebalanced every epoch by measured per-cluster load
-    /// ([`ShardBalance::Measured`]), gateway envelopes exchanged at
-    /// cross-worker epoch barriers — tens of thousands of buses across
-    /// cores. The record stream stays bit-identical to
-    /// [`FleetSchedule::Interleaved`] regardless of worker count or
-    /// rebalance schedule.
+    /// shards rebalanced every epoch by measured per-cluster load,
+    /// gateway envelopes exchanged at cross-worker epoch barriers —
+    /// tens of thousands of buses across cores. The record stream
+    /// stays bit-identical to [`FleetSchedule::Interleaved`]
+    /// regardless of worker count or shard assignment.
     Sharded {
         /// Worker-thread count (clamped to the cluster count; 0 is
         /// treated as 1).
@@ -1849,34 +1848,8 @@ impl FleetWorkload {
     ///
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
-        self.apply_driven(fleet, schedule.driver().as_mut())
-    }
-
-    /// [`FleetWorkload::apply_scheduled`] with a caller-owned
-    /// [`ShardedFleet`], so the drain's shard count and
-    /// [`ShardBalance`] schedule are the caller's choice. Counters
-    /// accumulate into `sharded` and the report's fairness snapshot is
-    /// taken from it.
-    ///
-    /// # Panics
-    ///
-    /// As [`FleetWorkload::apply`].
-    pub fn apply_sharded(&self, fleet: &mut Fleet, sharded: &mut ShardedFleet) -> FleetReport {
-        self.apply_driven(fleet, sharded)
-    }
-
-    /// Builds a fleet of `kind` and runs the workload on it through a
-    /// caller-owned [`ShardedFleet`] (see
-    /// [`FleetWorkload::apply_sharded`]).
-    pub fn run_sharded_on(&self, kind: EngineKind, sharded: &mut ShardedFleet) -> FleetReport {
-        let mut fleet = self.instantiate(kind);
-        self.apply_sharded(&mut fleet, sharded)
-    }
-
-    /// The shared body of every schedule's apply: asserts the fleet
-    /// matches the workload topology, replays the steps with `driver`
-    /// as the quiescence drain, and assembles the report.
-    fn apply_driven(&self, fleet: &mut Fleet, driver: &mut dyn FleetDriver) -> FleetReport {
+        let mut driver = schedule.driver();
+        let driver = driver.as_mut();
         assert_eq!(
             fleet.cluster_count(),
             self.clusters.len(),

@@ -17,10 +17,11 @@
 //! before their borrows do. A persistent pool cannot — its threads
 //! outlive every epoch — so the proof moves into one dynamic
 //! invariant, stated on [`WorkerPool::submit`] and discharged by the
-//! caller ([`super::ShardedFleet::drive_sink`]) with a wait-on-drop
+//! caller ([`super::ShardedFleet::drive`]) with a wait-on-drop
 //! guard: **no borrow handed to a job is touched or expired until
 //! [`WorkerPool::wait_all`] returns for that generation**, including
-//! when the driver thread unwinds. Jobs are lifetime-erased behind
+//! when the driver thread unwinds from a panic in shard 0, which it
+//! runs itself. Jobs are lifetime-erased behind
 //! that invariant; nothing else in the pool is `unsafe`.
 //!
 //! A job that panics is caught on the worker (the worker survives for

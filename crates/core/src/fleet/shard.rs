@@ -4,10 +4,9 @@
 //!
 //! The single-threaded [`InterleavedScheduler`] serves thousands of
 //! buses on one core; this module scales that shape across cores. A
-//! [`ShardedFleet`] partitions a fleet's clusters into **shards** —
-//! contiguous under [`ShardBalance::Static`], load-balanced under
-//! [`ShardBalance::Measured`] — and, each epoch, runs one
-//! `InterleavedScheduler` per shard on a long-lived `WorkerPool`
+//! [`ShardedFleet`] partitions a fleet's clusters into **shards**,
+//! load-balanced by measured per-cluster work, and, each epoch, runs
+//! one `InterleavedScheduler` per shard on a long-lived `WorkerPool`
 //! (`fleet/pool.rs`) worker. When every shard's clusters are
 //! quiescent, the workers hand back **per-shard outboxes**
 //! (classified gateway envelopes plus local-traffic stashes
@@ -19,7 +18,7 @@
 //!
 //! The sharded drain is *bit-identical* to the single-threaded
 //! interleaved drain — not just per-cluster, but in the fleet-wide
-//! record order too, for every shard count and rebalance schedule:
+//! record order too, for every shard count and shard assignment:
 //!
 //! * **Per-cluster streams.** Clusters share no state except through
 //!   barrier routing, and a worker's epoch issues each of its clusters
@@ -46,16 +45,16 @@
 //!   rebalance has made shards non-contiguous. Queueing never executes
 //!   bus work (engines only run inside epochs), so barrier-internal
 //!   interleaving of `take_rx` and `queue` calls is immaterial.
-//! * **Rebalancing is deterministic.** [`ShardBalance::Measured`]
-//!   repartitions on the schedulers' per-cluster transaction counters,
-//!   which are themselves a pure function of the (deterministic)
-//!   record stream; the greedy bin-packing breaks every tie by index.
-//!   The assignment therefore replays identically run-to-run, and by
-//!   the points above the *output* never depends on it anyway.
+//! * **Rebalancing is deterministic.** Every epoch repartitions on
+//!   the schedulers' per-cluster transaction counters, which are
+//!   themselves a pure function of the (deterministic) record stream;
+//!   the greedy bin-packing breaks every tie by index. The assignment
+//!   therefore replays identically run-to-run, and by the points above
+//!   the *output* never depends on it anyway.
 //!
 //! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
-//! every [`EngineKind`](crate::engine::EngineKind), shard counts
-//! 1/2/4/7, and rebalance-every-epoch vs never-rebalance.
+//! every [`EngineKind`](crate::engine::EngineKind) and shard counts
+//! 1/2/4/7.
 //!
 //! # Threading model
 //!
@@ -184,95 +183,14 @@ fn timed_shard_epoch(
     scheduler: &mut InterleavedScheduler,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
-    // WALL-CLOCK: per-shard load gauge for the fairness report and the
-    // Measured balancer's diagnostics only; `wall_nanos` never reaches
-    // a signature-bearing stream (signatures are pure functions of
-    // seeds — see the determinism contract in the module docs).
+    // WALL-CLOCK: per-shard load gauge for the fairness report only;
+    // `wall_nanos` never reaches a signature-bearing stream (signatures
+    // are pure functions of seeds — see the determinism contract in the
+    // module docs).
     let start = Instant::now();
     let mut out = run_shard_epoch(engines, scheduler, routes);
     out.wall_nanos = start.elapsed().as_nanos() as u64;
     out
-}
-
-/// How a [`ShardedFleet`] assigns clusters to worker shards.
-///
-/// Either way the assignment is deterministic and the drained output
-/// is *identical* — the merge key and the barrier's source-sorted
-/// routing make the record stream independent of the assignment (see
-/// the [module docs](self)); balancing only moves wall-clock time
-/// between workers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ShardBalance {
-    /// Contiguous near-equal cluster ranges, fixed for the fleet's
-    /// size — the PR 5 shape.
-    Static,
-    /// Greedy bin-packing on the schedulers' accumulated per-cluster
-    /// transaction counters (heaviest cluster first onto the lightest
-    /// shard, every tie broken by index), refreshed at epoch
-    /// boundaries. The counters are a pure function of the
-    /// deterministic record stream, so the assignment replays
-    /// identically run-to-run.
-    Measured {
-        /// Rebalance cadence in progress epochs (0 is treated as 1 —
-        /// every epoch).
-        every_epochs: u64,
-    },
-}
-
-impl fmt::Display for ShardBalance {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShardBalance::Static => write!(f, "static"),
-            ShardBalance::Measured { every_epochs } => write!(f, "measured({every_epochs})"),
-        }
-    }
-}
-
-/// A consumer of a sharded drain's record emissions — the streaming
-/// alternative to the plain closure [`ShardedFleet::drive`] takes.
-///
-/// [`ShardedFleet::drive_sink`] calls [`FleetRecordSink::shard_records`]
-/// with each shard's raw epoch emissions *as that shard completes* —
-/// before the fleet-wide merge, in worker completion order (which is
-/// timing-dependent and **not** deterministic) — then delivers the
-/// ordered merge through [`FleetRecordSink::record`] exactly as the
-/// closure form would. The merged stream is the conformance-pinned
-/// one; the per-shard batches are for consumers that want records as
-/// early as possible and do their own ordering (each batch is
-/// internally sorted by the `(round, cluster)` merge key, so a
-/// same-epoch merge of all batches equals the merged stream).
-pub trait FleetRecordSink {
-    /// The ordered fleet-wide stream: bit-identical to
-    /// [`InterleavedScheduler::drive`]'s emission order.
-    fn record(&mut self, record: FleetRecord);
-
-    /// One shard's `(round, cluster, record)` emissions for the epoch
-    /// that just completed on it, delivered in worker completion order
-    /// (nondeterministic across shards; deterministic within the
-    /// batch). `epoch` is the drain's cumulative progress-epoch count
-    /// *before* this barrier (so all batches of one barrier share it);
-    /// the final quiescent barrier delivers empty batches under the
-    /// same id as the last progress barrier.
-    fn shard_records(&mut self, epoch: u64, shard: usize, records: &[(u64, usize, EngineRecord)]) {
-        let _ = (epoch, shard, records);
-    }
-
-    /// Called after each progress epoch's barrier has merged, with the
-    /// new cumulative [`ShardedFleet::epochs`] value. Not called for
-    /// the empty terminating epoch.
-    fn epoch_complete(&mut self, epochs: u64) {
-        let _ = epochs;
-    }
-}
-
-/// Adapts the plain-closure drive to the sink interface: merged
-/// records only, per-shard batches ignored.
-struct MergedOnly<'a>(&'a mut dyn FnMut(FleetRecord));
-
-impl FleetRecordSink for MergedOnly<'_> {
-    fn record(&mut self, record: FleetRecord) {
-        (self.0)(record)
-    }
 }
 
 /// What a worker reports for one shard: the epoch results, or the
@@ -306,9 +224,9 @@ impl EpochInbox {
 }
 
 /// Keeps the engine borrows handed to the pool alive until the whole
-/// generation has finished, even if the driver thread unwinds (e.g. a
-/// sink panics mid-epoch) — the other half of the
-/// `WorkerPool::submit` safety contract.
+/// generation has finished, even if the driver thread unwinds (e.g.
+/// shard 0, which the driver runs itself, panics mid-epoch) — the
+/// other half of the `WorkerPool::submit` safety contract.
 struct EpochGuard<'a> {
     pool: &'a WorkerPool,
 }
@@ -358,7 +276,6 @@ impl Drop for EpochGuard<'_> {
 #[derive(Debug)]
 pub struct ShardedFleet {
     shards: usize,
-    balance: ShardBalance,
     /// The long-lived workers, created by the first multi-worker epoch
     /// and reused for every epoch after.
     pool: Option<WorkerPool>,
@@ -372,9 +289,9 @@ pub struct ShardedFleet {
     /// partition `0..assigned_clusters`.
     assignment: Vec<Vec<usize>>,
     assigned_clusters: usize,
-    /// The epoch count at which [`ShardBalance::Measured`] next
-    /// recomputes the assignment.
-    next_rebalance: u64,
+    /// The epoch count the assignment was last computed at; a new
+    /// progress epoch makes it due again.
+    rebalanced_at: Option<u64>,
     /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
     /// barrier time excluded), indexed by shard.
     shard_wall_nanos: Vec<u64>,
@@ -392,20 +309,14 @@ impl ShardedFleet {
     /// further clamped to the driven fleet's cluster count),
     /// rebalancing by measured load every epoch.
     pub fn new(shards: usize) -> Self {
-        ShardedFleet::with_balance(shards, ShardBalance::Measured { every_epochs: 1 })
-    }
-
-    /// [`ShardedFleet::new`] with an explicit [`ShardBalance`].
-    pub fn with_balance(shards: usize, balance: ShardBalance) -> Self {
         ShardedFleet {
             shards: shards.max(1),
-            balance,
             pool: None,
             schedulers: Vec::new(),
             epochs: 0,
             assignment: Vec::new(),
             assigned_clusters: 0,
-            next_rebalance: 0,
+            rebalanced_at: None,
             shard_wall_nanos: Vec::new(),
         }
     }
@@ -415,14 +326,9 @@ impl ShardedFleet {
         self.shards
     }
 
-    /// The configured [`ShardBalance`] policy.
-    pub fn balance(&self) -> ShardBalance {
-        self.balance
-    }
-
     /// The current cluster-to-shard assignment: entry `s` lists shard
     /// `s`'s clusters in ascending order. Empty before the first
-    /// drive; refreshed at rebalance boundaries.
+    /// drive; refreshed at every progress epoch.
     pub fn shard_assignment(&self) -> &[Vec<usize>] {
         &self.assignment
     }
@@ -474,36 +380,24 @@ impl ShardedFleet {
         merged
     }
 
-    /// Recomputes the cluster-to-shard assignment if it is stale (the
-    /// fleet or worker count changed) or a measured rebalance is due.
-    /// Deterministic: contiguous near-equal ranges for
-    /// [`ShardBalance::Static`], index-tie-broken greedy bin-packing
-    /// on the accumulated per-cluster transaction counters for
-    /// [`ShardBalance::Measured`].
+    /// Recomputes the cluster-to-shard assignment when a progress
+    /// epoch has passed since the last one, or the fleet or worker
+    /// count changed: index-tie-broken greedy bin-packing on the
+    /// accumulated per-cluster transaction counters.
     fn refresh_assignment(&mut self, clusters: usize, workers: usize) {
         let stale = self.assignment.len() != workers || self.assigned_clusters != clusters;
-        let due = matches!(self.balance, ShardBalance::Measured { .. })
-            && self.epochs >= self.next_rebalance;
-        if !stale && !due {
+        if !stale && self.rebalanced_at == Some(self.epochs) {
             return;
         }
-        self.assignment = match self.balance {
-            ShardBalance::Static => crate::sweep::balanced_parts(clusters, workers)
-                .into_iter()
-                .map(|range| range.collect())
-                .collect(),
-            ShardBalance::Measured { every_epochs } => {
-                let mut weights = vec![0u64; clusters];
-                for s in &self.schedulers {
-                    for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
-                        weights[c] += n;
-                    }
-                }
-                self.next_rebalance = self.epochs + every_epochs.max(1);
-                balance_by_weight(&weights, workers)
+        let mut weights = vec![0u64; clusters];
+        for s in &self.schedulers {
+            for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
+                weights[c] += n;
             }
-        };
+        }
+        self.assignment = balance_by_weight(&weights, workers);
         self.assigned_clusters = clusters;
+        self.rebalanced_at = Some(self.epochs);
     }
 
     /// Runs `fleet` until no bus has pending work and no envelope is
@@ -512,13 +406,6 @@ impl ShardedFleet {
     /// barrier merges the shards' emissions by `(round, cluster)`;
     /// records therefore reach `sink` in epoch-sized batches).
     pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        self.drive_sink(fleet, &mut MergedOnly(sink));
-    }
-
-    /// [`ShardedFleet::drive`] with the full [`FleetRecordSink`]
-    /// interface: per-shard record batches stream out as each shard's
-    /// epoch completes, ahead of the ordered merge.
-    pub fn drive_sink(&mut self, fleet: &mut Fleet, sink: &mut dyn FleetRecordSink) {
         let n = fleet.clusters.len();
         if n == 0 {
             return;
@@ -533,7 +420,6 @@ impl ShardedFleet {
         }
         loop {
             self.refresh_assignment(n, workers);
-            let epoch_id = self.epochs;
 
             // Epoch: every shard interleaves its clusters to
             // quiescence and classifies its gateway traffic, in
@@ -552,9 +438,11 @@ impl ShardedFleet {
 
                 if workers == 1 {
                     let entries: ShardEntries<'_> = fleet.clusters.iter_mut().enumerate().collect();
-                    let ep = timed_shard_epoch(ShardEngines(entries), &mut schedulers[0], routes);
-                    sink.shard_records(epoch_id, 0, &ep.records);
-                    results[0] = Some(ep);
+                    results[0] = Some(timed_shard_epoch(
+                        ShardEngines(entries),
+                        &mut schedulers[0],
+                        routes,
+                    ));
                 } else {
                     // Hand each shard exclusive &mut access to exactly
                     // its clusters' engines.
@@ -611,16 +499,11 @@ impl ShardedFleet {
                     // loop iteration re-entered.
                     let submitted = unsafe { pool.submit(jobs) };
                     let guard = EpochGuard { pool };
-                    let ep = timed_shard_epoch(shard0, sched0, routes);
-                    sink.shard_records(epoch_id, 0, &ep.records);
-                    results[0] = Some(ep);
+                    results[0] = Some(timed_shard_epoch(shard0, sched0, routes));
                     for _ in 0..submitted {
                         let (shard, result) = inbox.recv();
                         match result {
-                            Ok(ep) => {
-                                sink.shard_records(epoch_id, shard, &ep.records);
-                                results[shard] = Some(ep);
-                            }
+                            Ok(ep) => results[shard] = Some(ep),
                             Err(payload) => {
                                 first_panic = first_panic.take().or(Some(payload));
                             }
@@ -659,7 +542,7 @@ impl ShardedFleet {
             // cluster); see the module docs for why this is exact.
             merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
             for (_, cluster, record) in merged {
-                sink.record(FleetRecord { cluster, record });
+                sink(FleetRecord { cluster, record });
             }
 
             // Barrier, part 3: queue forwarded legs on their
@@ -678,7 +561,6 @@ impl ShardedFleet {
                 return;
             }
             self.epochs += 1;
-            sink.epoch_complete(self.epochs);
         }
     }
 }
@@ -849,36 +731,6 @@ mod tests {
         // terminate immediately.
         let mut empty = Fleet::new(EngineKind::Analytic, BusConfig::default());
         ShardedFleet::new(0).drive(&mut empty, &mut |_| panic!("no records"));
-    }
-
-    #[test]
-    fn measured_and_static_balance_match() {
-        // Both balance modes produce the identical stream.
-        for kind in EngineKind::ALL {
-            let runs: Vec<Vec<FleetRecord>> = [
-                ShardedFleet::new(3),
-                ShardedFleet::with_balance(3, ShardBalance::Static),
-            ]
-            .into_iter()
-            .map(|mut sharded| {
-                let mut fleet = eight_cluster_fleet(kind);
-                for c in 0..8 {
-                    fleet
-                        .queue_remote(
-                            FleetNodeId::new(c, 1),
-                            FleetNodeId::new((c + 1) % 8, 2),
-                            FuId::ZERO,
-                            vec![c as u8],
-                        )
-                        .unwrap();
-                }
-                let mut records = Vec::new();
-                sharded.drive(&mut fleet, &mut |r| records.push(r));
-                records
-            })
-            .collect();
-            assert_eq!(runs[0], runs[1], "{kind}: measured == static");
-        }
     }
 
     #[test]

@@ -36,14 +36,11 @@
 //! points work without `Arc`, and a panic in any worker propagates and
 //! aborts the whole sweep rather than silently dropping a chunk.
 //!
-//! # Sweeping fleets
-//!
-//! [`SweepRunner::run_fleet_sizes`] lifts the same machinery to the
-//! multi-bus [`fleet`](crate::fleet) layer: each point is a whole
-//! gateway-bridged fleet (clusters × sensors), built and drained inside
-//! the worker, summarized as a [`FleetSizeSample`]. This is how
-//! population scaling past the 14-node single-bus limit is measured —
-//! see the `fleet` bench binary.
+//! A sweep is a one-shot fan-out, so it does not run on the fleet
+//! layer's persistent `WorkerPool`: the pool's job hand-off is
+//! lifetime-erased and `unsafe`, and a second caller would widen that
+//! contract for nothing, since a sweep has no later epoch to reuse
+//! its threads. Scoped threads keep this module entirely safe code.
 //!
 //! # Example
 //!
@@ -62,9 +59,6 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 
-use crate::engine::EngineKind;
-use crate::fleet::{FleetSchedule, FleetWorkload};
-
 /// Splits `0..len` into up to `parts` contiguous ranges whose sizes
 /// differ by at most one: every part gets `len / parts` items and the
 /// first `len % parts` parts get one extra. This fixes the classic
@@ -73,7 +67,7 @@ use crate::fleet::{FleetSchedule, FleetWorkload};
 /// deals 3/3/2/2. Returns fewer than `parts` ranges only when `len`
 /// is smaller (never an empty range); `parts` of zero is treated as
 /// one.
-pub(crate) fn balanced_parts(len: usize, parts: usize) -> Vec<Range<usize>> {
+fn balanced_parts(len: usize, parts: usize) -> Vec<Range<usize>> {
     let parts = parts.clamp(1, len.max(1));
     let base = len / parts;
     let extra = len % parts;
@@ -98,28 +92,6 @@ pub(crate) fn balanced_parts(len: usize, parts: usize) -> Vec<Range<usize>> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SweepRunner {
     threads: NonZeroUsize,
-}
-
-/// One point of a fleet-size sweep: the topology that was run and what
-/// it cost. Produced by [`SweepRunner::run_fleet_sizes`] and
-/// [`SweepRunner::run_engine_fleet_grid`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FleetSizeSample {
-    /// The engine kind every cluster bus ran.
-    pub kind: EngineKind,
-    /// Number of cluster buses in the fleet.
-    pub clusters: usize,
-    /// Sensors on each cluster bus (the gateway presence is extra).
-    pub sensors_per_cluster: usize,
-    /// Total ring positions across the fleet, gateway presences
-    /// included.
-    pub total_nodes: usize,
-    /// Transactions the fleet ran, across every bus.
-    pub transactions: usize,
-    /// Envelopes the gateway forwarded between buses.
-    pub forwarded: u64,
-    /// Total bus-clock cycles across every bus.
-    pub total_cycles: u64,
 }
 
 impl SweepRunner {
@@ -183,95 +155,6 @@ impl SweepRunner {
         });
         out
     }
-
-    /// Sweeps over fleet topologies: for each `(clusters,
-    /// sensors_per_cluster)` point, builds a fresh gateway-bridged
-    /// fleet of `kind` inside the worker, runs `rounds` rounds of
-    /// [`FleetWorkload::sense_and_aggregate`] on it, and summarizes the
-    /// run. Points are independent whole fleets, so the usual
-    /// determinism contract holds: the result is bit-identical to the
-    /// serial run.
-    ///
-    /// # Panics
-    ///
-    /// Propagates topology panics from
-    /// [`FleetWorkload::sense_and_aggregate`] (zero clusters, or more
-    /// sensors than a bus has short prefixes for).
-    pub fn run_fleet_sizes(
-        &self,
-        kind: EngineKind,
-        sizes: &[(usize, usize)],
-        rounds: usize,
-    ) -> Vec<FleetSizeSample> {
-        self.run(sizes, |&(clusters, sensors)| {
-            fleet_sample(kind, clusters, sensors, rounds, FleetSchedule::Batched)
-        })
-    }
-
-    /// Sweeps the full engine-kind × fleet-size grid: every `kinds`
-    /// entry crossed with every `sizes` point, in row-major order
-    /// (all sizes for `kinds[0]`, then `kinds[1]`, …), each point a
-    /// whole fleet built inside the worker. This is how the
-    /// `interleave` bench compares the wire engine against the
-    /// analytic baseline across populations; the usual
-    /// determinism contract holds (sharded ≡ serial, bit-identical).
-    ///
-    /// # Panics
-    ///
-    /// As [`SweepRunner::run_fleet_sizes`].
-    pub fn run_engine_fleet_grid(
-        &self,
-        kinds: &[EngineKind],
-        sizes: &[(usize, usize)],
-        rounds: usize,
-    ) -> Vec<FleetSizeSample> {
-        self.run_engine_fleet_grid_scheduled(kinds, sizes, rounds, FleetSchedule::Batched)
-    }
-
-    /// [`SweepRunner::run_engine_fleet_grid`] with an explicit
-    /// [`FleetSchedule`] for every point's drains. Because fleet
-    /// drains are schedule-independent, the samples are bit-identical
-    /// across schedules — which is exactly what makes this a useful
-    /// cross-check: a grid run under `Sharded { .. }` must equal the
-    /// batched grid. Note the parallelism composes: the sweep shards
-    /// *points* across its own workers, and a sharded schedule
-    /// additionally shards each fleet's clusters inside the point.
-    pub fn run_engine_fleet_grid_scheduled(
-        &self,
-        kinds: &[EngineKind],
-        sizes: &[(usize, usize)],
-        rounds: usize,
-        schedule: FleetSchedule,
-    ) -> Vec<FleetSizeSample> {
-        let points: Vec<(EngineKind, (usize, usize))> = kinds
-            .iter()
-            .flat_map(|&kind| sizes.iter().map(move |&size| (kind, size)))
-            .collect();
-        self.run(&points, |&(kind, (clusters, sensors))| {
-            fleet_sample(kind, clusters, sensors, rounds, schedule)
-        })
-    }
-}
-
-/// Builds, runs, and summarizes one fleet point.
-fn fleet_sample(
-    kind: EngineKind,
-    clusters: usize,
-    sensors: usize,
-    rounds: usize,
-    schedule: FleetSchedule,
-) -> FleetSizeSample {
-    let report = FleetWorkload::sense_and_aggregate(clusters, sensors, rounds)
-        .run_scheduled_on(kind, schedule);
-    FleetSizeSample {
-        kind,
-        clusters,
-        sensors_per_cluster: sensors,
-        total_nodes: report.total_nodes(),
-        transactions: report.transactions(),
-        forwarded: report.forwarded,
-        total_cycles: report.total_cycles(),
-    }
 }
 
 #[cfg(test)]
@@ -306,42 +189,6 @@ mod tests {
         let serial = SweepRunner::serial().run(&points, f);
         let parallel = SweepRunner::with_threads(4).run(&points, f);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn fleet_size_sweeps_are_deterministic_and_scale_population() {
-        let sizes = [(2usize, 3usize), (4, 6), (8, 13)];
-        let serial = SweepRunner::serial().run_fleet_sizes(EngineKind::Analytic, &sizes, 1);
-        let sharded = SweepRunner::with_threads(3).run_fleet_sizes(EngineKind::Analytic, &sizes, 1);
-        assert_eq!(serial, sharded);
-        assert_eq!(serial[2].total_nodes, 8 * 14, "well past one bus's 14");
-        assert!(serial.iter().all(|s| s.forwarded > 0));
-        assert!(serial.iter().all(|s| s.kind == EngineKind::Analytic));
-        // Bigger fleets do strictly more work.
-        assert!(serial[0].total_cycles < serial[1].total_cycles);
-        assert!(serial[1].total_cycles < serial[2].total_cycles);
-    }
-
-    #[test]
-    fn engine_fleet_grid_crosses_kinds_with_sizes() {
-        let kinds = [EngineKind::Analytic, EngineKind::Wire];
-        let sizes = [(2usize, 2usize), (3, 4)];
-        let grid = SweepRunner::with_threads(2).run_engine_fleet_grid(&kinds, &sizes, 1);
-        assert_eq!(grid.len(), 4);
-        assert_eq!(
-            grid,
-            SweepRunner::serial().run_engine_fleet_grid(&kinds, &sizes, 1),
-            "grid sweeps shard deterministically"
-        );
-        // Row-major: all sizes for a kind, then the next kind. The
-        // kinds forward identically; the wire engine only adds the
-        // gated senders' self-wake nulls the analytic kernel folds.
-        assert_eq!(grid[0].kind, EngineKind::Analytic);
-        assert_eq!(grid[2].kind, EngineKind::Wire);
-        for (a, w) in grid[..2].iter().zip(&grid[2..]) {
-            assert_eq!(a.forwarded, w.forwarded);
-            assert!(w.transactions > a.transactions);
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! mbt 1 workload                      # magic: format version + kind
 //! name many_node_storm/4n1r           # rest of line, verbatim
 //! seed 42                             # optional provenance (at most once)
-//! replay engine=analytic schedule=sharded:4 balance=measured:1
+//! replay engine=analytic schedule=sharded:4
 //! expect sig=6d0ff72ab49e01c3         # optional pinned signature digest
 //! config clock=400000 maxmsg=1024     # bus configuration
 //! wake-nulls                          # = Workload::allow_wake_nulls
@@ -54,7 +54,10 @@
 //! Steps the bus would refuse at queue time — a checked message longer
 //! than `maxmsg`, non-envelope traffic to the gateway forwarding port,
 //! an envelope aimed at a forwarding port — are parse errors too, so
-//! every trace that parses also replays.
+//! every trace that parses also replays. Older traces may carry a
+//! `replay balance=static` or `balance=measured:<n>` field; it is
+//! still validated but selects nothing, since sharded drains always
+//! rebalance by measured load every epoch.
 //!
 //! # Round-trip and determinism contract
 //!
@@ -84,7 +87,7 @@ use crate::fleet::{
 use crate::message::Message;
 use crate::node::NodeSpec;
 use crate::scenario::{ScenarioSignature, Step, Workload};
-use crate::{ShardBalance, TxOutcome};
+use crate::TxOutcome;
 
 /// The highest format version this module reads. Version 1 files
 /// remain fully readable; the serializer emits `mbt 2` only when a
@@ -134,8 +137,6 @@ pub struct TraceMeta {
     pub engine: Option<EngineKind>,
     /// Suggested fleet schedule for replay (`replay schedule=`).
     pub schedule: Option<FleetSchedule>,
-    /// Suggested shard balance policy for replay (`replay balance=`).
-    pub balance: Option<ShardBalance>,
     /// Pinned signature digest (`expect sig=`): every replay of this
     /// trace must reproduce it (see [`Trace::run_digest`]).
     pub expect_sig: Option<u64>,
@@ -364,16 +365,13 @@ fn header(out: &mut String, version: u32, kind: &str, name: &str, meta: &TraceMe
     if let Some(seed) = meta.seed {
         let _ = writeln!(out, "seed {seed}");
     }
-    if meta.engine.is_some() || meta.schedule.is_some() || meta.balance.is_some() {
+    if meta.engine.is_some() || meta.schedule.is_some() {
         out.push_str("replay");
         if let Some(engine) = meta.engine {
             let _ = write!(out, " engine={engine}");
         }
         if let Some(schedule) = meta.schedule {
             let _ = write!(out, " schedule={}", schedule_token(schedule));
-        }
-        if let Some(balance) = meta.balance {
-            let _ = write!(out, " balance={}", balance_token(balance));
         }
         out.push('\n');
     }
@@ -387,13 +385,6 @@ fn schedule_token(schedule: FleetSchedule) -> String {
         FleetSchedule::Batched => "batched".to_string(),
         FleetSchedule::Interleaved => "interleaved".to_string(),
         FleetSchedule::Sharded { shards } => format!("sharded:{shards}"),
-    }
-}
-
-fn balance_token(balance: ShardBalance) -> String {
-    match balance {
-        ShardBalance::Static => "static".to_string(),
-        ShardBalance::Measured { every_epochs } => format!("measured:{every_epochs}"),
     }
 }
 
@@ -1426,29 +1417,28 @@ impl<'a> Parser<'a> {
                         }
                     });
                 }
-                "balance" => {
-                    self.meta.balance = Some(match value.split_once(':') {
-                        None if value == "static" => ShardBalance::Static,
-                        Some(("measured", n)) => ShardBalance::Measured {
-                            every_epochs: n.parse().map_err(|_| {
-                                self.err(
-                                    line_no,
-                                    tok.col,
-                                    format!("malformed rebalance cadence in `{}`", tok.text),
-                                )
-                            })?,
-                        },
-                        _ => {
-                            return Err(self.err(
+                // Sharded drains always rebalance by measured load every
+                // epoch; the field is still validated so older traces
+                // keep parsing, but it no longer selects anything.
+                "balance" => match value.split_once(':') {
+                    None if value == "static" => {}
+                    Some(("measured", n)) => {
+                        n.parse::<u64>().map_err(|_| {
+                            self.err(
                                 line_no,
                                 tok.col,
-                                format!(
-                                    "unknown balance `{value}` (expected static or measured:<n>)"
-                                ),
-                            ))
-                        }
-                    });
-                }
+                                format!("malformed rebalance cadence in `{}`", tok.text),
+                            )
+                        })?;
+                    }
+                    _ => {
+                        return Err(self.err(
+                            line_no,
+                            tok.col,
+                            format!("unknown balance `{value}` (expected static or measured:<n>)"),
+                        ))
+                    }
+                },
                 other => {
                     return Err(self.err(
                         line_no,
@@ -2095,10 +2085,40 @@ mod tests {
         let mut tf = TraceFile::workload(Workload::many_node_storm(3, 1)).with_seed(99);
         tf.meta.engine = Some(EngineKind::Wire);
         tf.meta.schedule = Some(FleetSchedule::Sharded { shards: 4 });
-        tf.meta.balance = Some(ShardBalance::Measured { every_epochs: 2 });
         tf.meta.expect_sig = Some(0x0123_4567_89ab_cdef);
         let parsed = roundtrip(&tf);
         assert_eq!(parsed.meta, tf.meta);
+    }
+
+    #[test]
+    fn replay_balance_fields_still_parse_but_select_nothing() {
+        let trace = |field: &str| {
+            format!(
+                "mbt 1 workload\nname t\nreplay schedule=sharded:2 {field}\n\
+                 node prefix=0x00001 short=0x1 name=a\n"
+            )
+        };
+        for field in ["balance=static", "balance=measured:3"] {
+            let tf = TraceFile::parse_str("t.mbt", &trace(field)).unwrap();
+            assert_eq!(tf.meta.schedule, Some(FleetSchedule::Sharded { shards: 2 }));
+            assert!(
+                !tf.to_mbt().contains("balance"),
+                "{field} is not re-emitted"
+            );
+        }
+        let reject = |field: &str| {
+            TraceFile::parse_str("t.mbt", &trace(field))
+                .unwrap_err()
+                .to_string()
+        };
+        assert_eq!(
+            reject("balance=measured:x"),
+            "t.mbt:3:27: malformed rebalance cadence in `balance=measured:x`"
+        );
+        assert_eq!(
+            reject("balance=bogus"),
+            "t.mbt:3:27: unknown balance `bogus` (expected static or measured:<n>)"
+        );
     }
 
     #[test]

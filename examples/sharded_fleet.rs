@@ -13,17 +13,13 @@
 //! 3. Run a workload through every [`FleetSchedule`] (batched,
 //!    interleaved, sharded at several widths) and verify one shared
 //!    [`FleetSignature`](mbus_core::FleetSignature).
-//! 4. Stream per-shard record batches through a [`FleetRecordSink`]
-//!    (the merged stream stays bit-identical) and watch measured load
-//!    balancing hand a hot cluster its own shard.
+//! 4. Watch measured load balancing hand a hot cluster its own shard
+//!    while the stream stays bit-identical.
 //!
 //! Run with: `cargo run --release --example sharded_fleet`
 
 use mbus_core::fleet::{Fleet, FleetNodeId, ShardedFleet};
-use mbus_core::{
-    BusConfig, EngineKind, EngineRecord, FleetRecord, FleetRecordSink, FleetSchedule,
-    FleetWorkload, FuId,
-};
+use mbus_core::{BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId};
 
 fn ring_fleet(clusters: usize) -> Result<(Fleet, Vec<FleetNodeId>), Box<dyn std::error::Error>> {
     let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
@@ -40,6 +36,31 @@ fn ring_fleet(clusters: usize) -> Result<(Fleet, Vec<FleetNodeId>), Box<dyn std:
         fleet.queue_remote(src, dest, FuId::ZERO, vec![0xD0 | c as u8])?;
     }
     Ok((fleet, sensors))
+}
+
+/// Nine clusters of three sensors, every sensor outside cluster 0
+/// reporting to cluster 0: cluster 0 runs one forwarded leg for every
+/// envelope the other eight send.
+fn hot_fleet() -> Result<Fleet, Box<dyn std::error::Error>> {
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+    for _ in 0..9 {
+        let c = fleet.add_cluster();
+        for _ in 0..3 {
+            fleet.add_sensor(c, false);
+        }
+    }
+    let sink = FleetNodeId::new(0, 1);
+    for c in 1..9 {
+        for j in 1..=3 {
+            fleet.queue_remote(
+                FleetNodeId::new(c, j),
+                sink,
+                FuId::ZERO,
+                vec![c as u8, j as u8],
+            )?;
+        }
+    }
+    Ok(fleet)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -94,54 +115,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("schedule {schedule}: signature identical to batched");
     }
 
-    // --- 4. Streaming batches + measured rebalancing. ---------------
-    // A sink that counts each shard's batch as its epoch completes —
-    // available the moment the shard finishes, before the fleet-wide
-    // merge — while the merged stream keeps the pinned order.
-    struct BatchCounter {
-        merged: Vec<FleetRecord>,
-        batches: usize,
-        streamed: usize,
-    }
-    impl FleetRecordSink for BatchCounter {
-        fn record(&mut self, record: FleetRecord) {
-            self.merged.push(record);
-        }
-        fn shard_records(
-            &mut self,
-            _epoch: u64,
-            _shard: usize,
-            records: &[(u64, usize, EngineRecord)],
-        ) {
-            self.batches += 1;
-            self.streamed += records.len();
-        }
-    }
-    let (mut fleet, _) = ring_fleet(clusters)?;
-    let mut sharded = ShardedFleet::new(workers);
-    let mut sink = BatchCounter {
-        merged: Vec::new(),
-        batches: 0,
-        streamed: 0,
-    };
-    sharded.drive_sink(&mut fleet, &mut sink);
-    println!(
-        "\nstreaming: {} records in {} per-shard batches, merged stream {} records (order pinned)",
-        sink.streamed,
-        sink.batches,
-        sink.merged.len(),
-    );
-
-    // Measured balancing: sense-and-aggregate funnels every reading to
-    // cluster 0, so after a drive's worth of transaction counters the
-    // greedy packer isolates the hot cluster on its own shard.
-    let hot = FleetWorkload::sense_and_aggregate(9, 3, 3);
+    // --- 4. Measured rebalancing. -----------------------------------
+    // Each epoch repartitions the shards on the per-cluster transaction
+    // counters so far, so once the forwarded legs land the greedy
+    // packer isolates the hot cluster on its own shard.
+    let mut want = Vec::new();
+    hot_fleet()?.drain(FleetSchedule::Interleaved, &mut |r| want.push(r));
     let mut balanced = ShardedFleet::new(3);
-    let once = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
-    let twice = hot.run_sharded_on(EngineKind::Analytic, &mut balanced);
-    assert_eq!(once.records, twice.records, "rebalancing never moves a bit");
+    let mut got = Vec::new();
+    balanced.drive(&mut hot_fleet()?, &mut |r| got.push(r));
+    assert_eq!(want, got, "rebalancing never moves a bit");
     println!(
-        "measured balance after a hot aggregation drive: shards {:?}",
+        "\nmeasured balance after a hot aggregation drive: shards {:?}",
         balanced.shard_assignment(),
     );
     Ok(())

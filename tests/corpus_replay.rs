@@ -68,8 +68,7 @@ fn corpus_replays_identically_across_engines_and_schedules() {
                     "{file}: behavior drifted from pinned digest (got {digest:016x})"
                 );
                 // ...then schedule-independence per comparable kind:
-                // batched ≡ interleaved ≡ sharded(2|3), measured and
-                // static balance both.
+                // batched ≡ interleaved ≡ sharded(2|3).
                 for kind in common::fleet_comparable_kinds(w) {
                     let (_, interleaved) = common::schedule_crosscheck(w, kind);
                     for shards in [2, 3] {

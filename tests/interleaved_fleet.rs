@@ -185,8 +185,7 @@ fn scheduler_counters_and_reuse_across_drives() {
 
 #[test]
 fn big_interleaved_fleet_matches_batched() {
-    // A 100+-node fleet through both schedules on the analytic engine —
-    // the shape the interleave bench runs at 4096 nodes.
+    // A 100+-node fleet through both schedules on the analytic engine.
     let w = FleetWorkload::sense_and_aggregate(16, 6, 2);
     assert!(w.total_nodes() > 100);
     let (batched, interleaved) = common::schedule_crosscheck(&w, EngineKind::Analytic);

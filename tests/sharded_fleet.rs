@@ -22,10 +22,10 @@
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, GatewayNode, ShardedFleet, GATEWAY_NODE};
+use mbus_core::fleet::{Fleet, FleetNodeId, GatewayNode, ShardedFleet, GATEWAY_NODE, MAX_CLUSTERS};
 use mbus_core::{
-    Address, BusConfig, EngineKind, EngineRecord, FleetRecord, FleetRecordSink, FleetSchedule,
-    FleetWorkload, FuId, FullPrefix, Message, ShardBalance, ShortPrefix,
+    Address, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix,
+    InterleavedScheduler, Message, ReceivedMessage, ShortPrefix,
 };
 
 /// The acceptance-bar shard counts: degenerate, even, ragged, and
@@ -198,65 +198,78 @@ fn sharded_fairness_counters_are_consistent() {
 
 #[test]
 fn rebalance_schedules_produce_identical_merged_streams() {
-    // The tentpole pin, rebalancing axis: every balance policy —
-    // rebalance every epoch, every third epoch, and never (static) —
-    // yields the identical merged stream and signature on every engine kind and shard count,
-    // including more shards than clusters.
+    // The rebalancing axis: shards are repartitioned by measured load
+    // every epoch, and the merged stream and signature stay identical
+    // on every engine kind and shard count, including more shards than
+    // clusters.
     let w = FleetWorkload::cross_storm(7, 2, 2);
     for kind in EngineKind::ALL {
         let reference = w.run_scheduled_on(kind, FleetSchedule::Interleaved);
         for shards in [2usize, 4, 7, 13] {
-            for balance in [
-                ShardBalance::Measured { every_epochs: 1 },
-                ShardBalance::Measured { every_epochs: 3 },
-                ShardBalance::Static,
-            ] {
-                let mut sharded = ShardedFleet::with_balance(shards, balance);
-                let report = w.run_sharded_on(kind, &mut sharded);
-                assert_eq!(
-                    reference.records, report.records,
-                    "{kind} shards={shards} balance={balance}"
-                );
-                assert_eq!(
-                    reference.signature(),
-                    report.signature(),
-                    "{kind} shards={shards} balance={balance}"
-                );
-            }
+            let report = w.run_scheduled_on(kind, FleetSchedule::Sharded { shards });
+            assert_eq!(reference.records, report.records, "{kind} shards={shards}");
+            assert_eq!(
+                reference.signature(),
+                report.signature(),
+                "{kind} shards={shards}"
+            );
         }
     }
 }
 
+/// Nine clusters of three sensors; every sensor outside cluster 0
+/// sends three readings to cluster 0, so cluster 0 runs one forwarded
+/// leg for every envelope the other eight send.
+fn hot_spot_fleet() -> Fleet {
+    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+    for _ in 0..9 {
+        let c = fleet.add_cluster();
+        for _ in 0..3 {
+            fleet.add_sensor(c, false);
+        }
+    }
+    for round in 0..3u8 {
+        for c in 1..9 {
+            for j in 1..=3 {
+                fleet
+                    .queue_remote(
+                        FleetNodeId::new(c, j),
+                        FleetNodeId::new(0, 1),
+                        FuId::ZERO,
+                        vec![round, c as u8, j as u8],
+                    )
+                    .unwrap();
+            }
+        }
+    }
+    fleet
+}
+
 #[test]
 fn hot_cluster_earns_a_dedicated_shard() {
-    // sense_and_aggregate funnels every reading to cluster 0, whose
-    // forwarded legs make it the dominant load. Measured balancing
-    // must (a) keep the stream bit-identical anyway and (b) end up
-    // isolating the hot cluster on its own shard once its weight
+    // Measured balancing must (a) keep the stream bit-identical and
+    // (b) isolate the hot cluster on its own shard once its weight
     // dwarfs the rest.
-    let w = FleetWorkload::sense_and_aggregate(9, 3, 3);
-    let reference = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
-    let weights = &reference.fairness.as_ref().unwrap().cluster_transactions;
+    let mut reference = InterleavedScheduler::new();
+    let mut want = Vec::new();
+    reference.drive(&mut hot_spot_fleet(), &mut |r| want.push(r));
+    let weights = reference.cluster_transactions();
     assert!(
         weights[1..].iter().all(|&w| weights[0] > 3 * w),
         "cluster 0 is the clear hot spot: {weights:?}"
     );
     for shards in [2usize, 3, 4] {
         let mut sharded = ShardedFleet::new(shards);
-        // Two drives: the first accumulates the true per-cluster
-        // weights, so the second's rebalances see the hot cluster at
-        // full strength.
-        let report1 = w.run_sharded_on(EngineKind::Analytic, &mut sharded);
-        assert_eq!(reference.records, report1.records, "shards={shards}");
-        let report2 = w.run_sharded_on(EngineKind::Analytic, &mut sharded);
-        assert_eq!(reference.records, report2.records, "shards={shards}");
+        let mut got = Vec::new();
+        sharded.drive(&mut hot_spot_fleet(), &mut |r| got.push(r));
+        assert_eq!(want, got, "shards={shards}");
         let home = sharded
             .shard_assignment()
             .iter()
             .find(|members| members.contains(&0))
             .expect("cluster 0 is assigned");
         if shards >= 3 {
-            // With the hot cluster ~4x any peer, the greedy packer
+            // With the hot cluster ~8x any peer, the greedy packer
             // places it first and never tops up its shard while two or
             // more other shards stay lighter.
             assert_eq!(
@@ -265,7 +278,7 @@ fn hot_cluster_earns_a_dedicated_shard() {
                 "shards={shards}: the hot aggregation cluster is isolated"
             );
         }
-        let fairness = report2.fairness.as_ref().expect("sharded drains report");
+        let fairness = sharded.fairness(9);
         assert_eq!(fairness.shard_transactions.len(), shards);
         assert_eq!(
             fairness.shard_transactions.iter().sum::<u64>(),
@@ -273,94 +286,6 @@ fn hot_cluster_earns_a_dedicated_shard() {
             "per-shard gauges cover every transaction"
         );
     }
-}
-
-/// One per-shard batch as streamed: `(epoch, shard, rows)`.
-type ShardBatch = (u64, usize, Vec<(u64, usize, EngineRecord)>);
-
-/// Collects everything the streaming interface emits.
-#[derive(Default)]
-struct CollectSink {
-    merged: Vec<FleetRecord>,
-    batches: Vec<ShardBatch>,
-    completed: Vec<u64>,
-}
-
-impl FleetRecordSink for CollectSink {
-    fn record(&mut self, record: FleetRecord) {
-        self.merged.push(record);
-    }
-    fn shard_records(&mut self, epoch: u64, shard: usize, records: &[(u64, usize, EngineRecord)]) {
-        self.batches.push((epoch, shard, records.to_vec()));
-    }
-    fn epoch_complete(&mut self, epochs: u64) {
-        self.completed.push(epochs);
-    }
-}
-
-#[test]
-fn streamed_shard_batches_reassemble_into_the_merged_stream() {
-    // The per-shard batches arrive in (nondeterministic) completion
-    // order, but each is internally sorted by the (round, cluster)
-    // merge key — so sorting each epoch's batches together must
-    // reproduce the conformance-pinned merged stream exactly.
-    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    for _ in 0..6 {
-        let c = fleet.add_cluster();
-        fleet.add_sensor(c, false);
-        fleet.add_sensor(c, false);
-    }
-    let mut reference = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    for _ in 0..6 {
-        let c = reference.add_cluster();
-        reference.add_sensor(c, false);
-        reference.add_sensor(c, false);
-    }
-    for f in [&mut fleet, &mut reference] {
-        for c in 0..6 {
-            f.queue_remote(
-                FleetNodeId::new(c, 1),
-                FleetNodeId::new((c + 2) % 6, 2),
-                FuId::ZERO,
-                vec![0x51, c as u8],
-            )
-            .unwrap();
-        }
-    }
-    let mut want = Vec::new();
-    reference.drain(FleetSchedule::Interleaved, &mut |r| want.push(r));
-
-    let mut sharded = ShardedFleet::new(3);
-    let mut sink = CollectSink::default();
-    sharded.drive_sink(&mut fleet, &mut sink);
-
-    assert_eq!(want, sink.merged, "merged stream is the pinned one");
-    assert_eq!(
-        sink.completed,
-        (1..=sharded.epochs()).collect::<Vec<_>>(),
-        "one completion per progress epoch"
-    );
-
-    // Reassemble: group batches by epoch id, sort each epoch's
-    // concatenation by the merge key, and stitch epochs in order.
-    let mut epoch_ids: Vec<u64> = sink.batches.iter().map(|&(e, _, _)| e).collect();
-    epoch_ids.sort_unstable();
-    epoch_ids.dedup();
-    let mut reassembled = Vec::new();
-    for epoch in epoch_ids {
-        let mut rows: Vec<(u64, usize, EngineRecord)> = sink
-            .batches
-            .iter()
-            .filter(|&&(e, _, _)| e == epoch)
-            .flat_map(|(_, _, records)| records.iter().cloned())
-            .collect();
-        rows.sort_by_key(|&(round, cluster, _)| (round, cluster));
-        reassembled.extend(
-            rows.into_iter()
-                .map(|(_, cluster, record)| FleetRecord { cluster, record }),
-        );
-    }
-    assert_eq!(want, reassembled, "shard batches reassemble exactly");
 }
 
 #[test]
@@ -402,4 +327,44 @@ fn sharded_scheduler_reuse_reports_per_shard() {
         assert_eq!(fleet.take_rx(FleetNodeId::new(c, 1)).len(), 2);
         assert!(fleet.take_rx(FleetNodeId::new(c, GATEWAY_NODE)).is_empty());
     }
+}
+
+#[test]
+fn last_cluster_prefix_block_routes_both_ways() {
+    // A fleet of exactly MAX_CLUSTERS buses puts its last cluster on
+    // prefix block 0xFFFF. One sensor on the first and one on the last
+    // cluster message each other across the whole prefix space, and
+    // the sharded drain must match the interleaved one.
+    let build = || {
+        let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+        for _ in 0..MAX_CLUSTERS {
+            fleet.add_cluster();
+        }
+        let first = fleet.add_sensor(0, false);
+        let last = fleet.add_sensor(MAX_CLUSTERS - 1, false);
+        fleet
+            .queue_remote(first, last, FuId::ZERO, vec![0x01])
+            .unwrap();
+        fleet
+            .queue_remote(last, first, FuId::ZERO, vec![0xFF])
+            .unwrap();
+        (fleet, first, last)
+    };
+    let mut streams = Vec::new();
+    for schedule in [
+        FleetSchedule::Interleaved,
+        FleetSchedule::Sharded { shards: 2 },
+    ] {
+        let (mut fleet, first, last) = build();
+        let mut records = Vec::new();
+        fleet.drain(schedule, &mut |r| records.push(r));
+        assert_eq!(fleet.gateway().forwarded(), 2, "{schedule}");
+        let payloads = |rx: Vec<ReceivedMessage>| -> Vec<Vec<u8>> {
+            rx.into_iter().map(|m| m.payload).collect()
+        };
+        assert_eq!(payloads(fleet.take_rx(first)), [[0xFF]], "{schedule}");
+        assert_eq!(payloads(fleet.take_rx(last)), [[0x01]], "{schedule}");
+        streams.push(records);
+    }
+    assert_eq!(streams[0], streams[1]);
 }

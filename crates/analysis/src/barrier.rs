@@ -81,8 +81,8 @@ pub struct BarrierModel {
     pub panic_at: Option<(usize, usize)>,
     /// After publishing this epoch's jobs, the driver unwinds: it runs
     /// only the wait-on-drop guard (`wait_all`), then pool shutdown.
-    /// Models a panic in shard 0, which `ShardedFleet::drive` runs on
-    /// the driver thread, mid-epoch.
+    /// Models a panic in shard 0, which the fleet driver's epoch loop
+    /// runs on the driver thread, mid-epoch.
     pub driver_unwinds_at: Option<usize>,
     /// Inject the classic bug: the post-publish wakeup uses
     /// `notify_one` instead of `notify_all`. The explorer must report

@@ -58,11 +58,10 @@ fn worker_panic_mid_epoch_is_ferried_not_lost() {
     }
 }
 
-/// The driver unwinding mid-epoch (a panic in shard 0, which
-/// `ShardedFleet::drive` runs on the driver thread) exercises the
-/// wait-on-drop guard: the
-/// guard must still drain the in-flight generation before the pool
-/// shuts down, on every schedule.
+/// The driver unwinding mid-epoch (a panic in shard 0, which the fleet
+/// driver's epoch loop runs on the driver thread) exercises the
+/// wait-on-drop guard: the guard must still drain the in-flight
+/// generation before the pool shuts down, on every schedule.
 #[test]
 fn driver_unwind_mid_epoch_drains_via_guard() {
     for epoch in 0..MAX_EPOCHS {

@@ -28,19 +28,18 @@
 //! A [`Fleet`] owns the per-cluster engines (any [`EngineKind`] — the
 //! fleet layer is written against the [`BusEngine`] trait) and drives
 //! them in deterministic epochs with routing only at the quiescence
-//! barriers, under one of three schedules ([`FleetSchedule`], all
-//! through the one [`Fleet::drain`]): the
-//! *batched* cluster-major drain (each epoch drains cluster 0 to
-//! quiescence through the engine's batched
+//! barriers. One private driver (`fleet/shard.rs`) owns that barrier;
+//! [`Fleet::drain`] runs it under one of three schedules
+//! ([`FleetSchedule`]): the *batched* cluster-major drain (each epoch
+//! drains cluster 0 to quiescence through the engine's batched
 //! [`BusEngine::run_until_quiescent_with`] kernel, then cluster 1, …),
-//! the *interleaved* [`InterleavedScheduler`] (one transaction per
-//! cluster per round, so thousands of buses make progress together on
-//! one thread), or the *sharded* interleave
-//! ([`shard::ShardedFleet`]: cluster groups on a persistent worker
-//! pool, one interleaved scheduler each, shards rebalanced by
-//! measured load, gateway envelopes exchanged at cross-worker epoch
-//! barriers — the serving shape for tens of thousands of buses).
-//! Barrier routing makes cross-bus
+//! the *interleaved* round-robin (one transaction per cluster per
+//! round, so thousands of buses make progress together on one thread),
+//! both as one shard on the calling thread, or the *sharded*
+//! interleave (cluster groups on a persistent worker pool, shards
+//! rebalanced by measured load, gateway envelopes exchanged at
+//! cross-worker epoch barriers — the serving shape for tens of
+//! thousands of buses). Barrier routing makes cross-bus
 //! causality (which epoch a forwarded message lands in) reproducible,
 //! engine-independent, *and* schedule-independent: all schedules
 //! yield identical per-cluster record streams and differ only in
@@ -79,12 +78,12 @@
 #[allow(unsafe_code)]
 mod pool;
 #[allow(unsafe_code)]
-pub mod shard;
+mod shard;
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-pub use shard::ShardedFleet;
+use shard::{FleetDriver, Kernel};
 
 use crate::addr::{Address, FuId, FullPrefix, ShortPrefix};
 use crate::behavior::{self, NodeBehavior, DEFAULT_REPLY_HORIZON};
@@ -242,9 +241,8 @@ pub struct GatewayNode {
     /// The routing table — read-only once the fleet is built, so
     /// sharded drains can hand every worker a shared `&GatewayRoutes`.
     routes: GatewayRoutes,
-    /// The mutable half: forwarding/drop counters, maintained on the
-    /// routing thread (merged from per-shard counters at the barriers
-    /// of a sharded drain).
+    /// The mutable half: forwarding/drop counters, merged from the
+    /// per-shard counters at every drain's epoch barriers.
     counters: GatewayCounters,
 }
 
@@ -266,8 +264,8 @@ pub struct GatewayRoutes {
 }
 
 /// The mutable half of a [`GatewayNode`]: forwarding and drop
-/// accounting. A sharded drain keeps one of these per worker and
-/// merges them into the fleet's at each epoch barrier; merging is
+/// accounting. A drain keeps one of these per shard and merges them
+/// into the fleet's at each epoch barrier; merging is
 /// order-independent because every field is a sum.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) struct GatewayCounters {
@@ -329,8 +327,8 @@ impl GatewayCounters {
 }
 
 /// What one message delivered to a gateway presence turns out to be —
-/// the single classification path shared by the single-threaded
-/// routing barrier and the sharded workers.
+/// the single classification path every shard runs before the epoch
+/// barrier routes its outbox.
 pub(crate) enum GatewayVerdict {
     /// Ordinary local traffic for the gateway device (broadcast or
     /// `fu != 0`): stash for [`Fleet::take_rx`].
@@ -408,11 +406,11 @@ impl GatewayRoutes {
 
     /// Classifies one message a gateway presence received: local
     /// traffic, a routable envelope (with its forwarded leg built), or
-    /// a drop. Pure with respect to the routing table, so shard
-    /// workers can run it concurrently against per-shard `counters`;
-    /// every counter update classification implies (forwards, hop
-    /// forwards, per-hop drops) happens in here, keeping the
-    /// single-threaded barrier and the shard workers in lockstep.
+    /// a drop. Pure with respect to the routing table, so shards can
+    /// run it concurrently against per-shard `counters`; every counter
+    /// update classification implies (forwards, hop forwards, per-hop
+    /// drops) happens in here, so the totals never depend on the shard
+    /// assignment.
     ///
     /// An envelope whose destination cluster is outside the receiving
     /// gateway's domain chases [`MeshRoute`]s hop by hop *inside this
@@ -524,12 +522,6 @@ impl GatewayNode {
         self.counters.ttl_drops.get(cluster).copied().unwrap_or(0)
     }
 
-    /// Per-hop TTL-drop counts, indexed by cluster; clusters past the
-    /// last drop may be absent.
-    pub fn ttl_drops(&self) -> &[u64] {
-        &self.counters.ttl_drops
-    }
-
     /// Envelopes dropped by the gateway presence on `cluster` — the
     /// per-cluster breakdown of [`GatewayNode::dropped`], so fleet
     /// conformance can catch engines disagreeing on *where* traffic
@@ -540,12 +532,6 @@ impl GatewayNode {
             .get(cluster)
             .copied()
             .unwrap_or(0)
-    }
-
-    /// Per-cluster drop counts, indexed by cluster; clusters past the
-    /// last drop may be absent.
-    pub fn cluster_drops(&self) -> &[u64] {
-        &self.counters.cluster_drops
     }
 
     /// Builds a forwarding envelope payload: the destination's 4-byte
@@ -563,20 +549,6 @@ impl GatewayNode {
     /// `payload_len` inner bytes.
     pub(crate) fn envelope_len(payload_len: usize, ttl: Option<u8>) -> usize {
         payload_len + if ttl.is_some() { 6 } else { 4 }
-    }
-
-    /// Parses a forwarding envelope back into destination and inner
-    /// payload; `None` if the header is not a 4-byte full address.
-    /// Reads the legacy v1 form only — mesh-aware callers want
-    /// [`GatewayNode::open`].
-    pub fn decapsulate(payload: &[u8]) -> Option<(FullPrefix, FuId, Vec<u8>)> {
-        if payload.len() < 4 {
-            return None;
-        }
-        match Address::decode(&payload[..4]) {
-            Ok(Address::Full { prefix, fu_id }) => Some((prefix, fu_id, payload[4..].to_vec())),
-            _ => None,
-        }
     }
 
     /// Builds a **v2** forwarding envelope carrying an explicit TTL:
@@ -599,23 +571,18 @@ impl GatewayNode {
     /// hops, inner payload)`: the v2 6-byte header when the payload
     /// leads with [`ENVELOPE_MAGIC`], the v1 4-byte header otherwise
     /// (entering with [`DEFAULT_TTL`] and hop count 0). `None` if
-    /// neither header parses.
+    /// neither header parses as a full address.
     pub fn open(payload: &[u8]) -> Option<(FullPrefix, FuId, u8, u8, Vec<u8>)> {
-        if payload.first() == Some(&ENVELOPE_MAGIC) {
-            if payload.len() < 6 {
-                return None;
-            }
-            let ttl = payload[1] >> 4;
-            let hops = payload[1] & 0xF;
-            match Address::decode(&payload[2..6]) {
-                Ok(Address::Full { prefix, fu_id }) => {
-                    Some((prefix, fu_id, ttl, hops, payload[6..].to_vec()))
-                }
-                _ => None,
-            }
+        let (ttl, hops, header) = if payload.first() == Some(&ENVELOPE_MAGIC) {
+            (payload.get(1)? >> 4, payload[1] & 0xF, 2)
         } else {
-            let (prefix, fu, inner) = GatewayNode::decapsulate(payload)?;
-            Some((prefix, fu, DEFAULT_TTL, 0, inner))
+            (DEFAULT_TTL, 0, 0)
+        };
+        match Address::decode(payload.get(header..header + 4)?) {
+            Ok(Address::Full { prefix, fu_id }) => {
+                Some((prefix, fu_id, ttl, hops, payload[header + 4..].to_vec()))
+            }
+            _ => None,
         }
     }
 }
@@ -904,27 +871,7 @@ impl Fleet {
         fu: FuId,
         payload: Vec<u8>,
     ) -> Result<Message, MbusError> {
-        let engine = self.engine(dest)?;
-        if dest.node >= engine.node_count() {
-            return Err(MbusError::UnknownNode { index: dest.node });
-        }
-        if dest.node == GATEWAY_NODE && fu == GATEWAY_FORWARD_FU {
-            return Err(MbusError::MalformedAddress {
-                reason: "a remote message may not target a gateway forwarding port",
-            });
-        }
-        let full = engine.spec(dest.node).full_prefix();
-        let envelope = GatewayNode::encapsulate(full, fu, &payload);
-        if envelope.len() > self.config.max_message_bytes() {
-            return Err(MbusError::MessageTooLong {
-                len: envelope.len(),
-                max: self.config.max_message_bytes(),
-            });
-        }
-        Ok(Message::new(
-            Address::short(gateway_short_prefix(), GATEWAY_FORWARD_FU),
-            envelope,
-        ))
+        self.envelope_message(dest, fu, &payload, None)
     }
 
     /// [`Fleet::remote_message`] with an explicit TTL: builds a **v2**
@@ -945,7 +892,21 @@ impl Fleet {
         payload: Vec<u8>,
         ttl: u8,
     ) -> Result<Message, MbusError> {
-        if !(1..=MAX_TTL).contains(&ttl) {
+        self.envelope_message(dest, fu, &payload, Some(ttl))
+    }
+
+    /// The one envelope builder behind [`Fleet::remote_message`]
+    /// (`ttl` `None`, a v1 envelope) and [`Fleet::remote_message_ttl`]
+    /// (a v2 envelope). The TTL range is checked before the
+    /// destination lookup.
+    fn envelope_message(
+        &self,
+        dest: FleetNodeId,
+        fu: FuId,
+        payload: &[u8],
+        ttl: Option<u8>,
+    ) -> Result<Message, MbusError> {
+        if ttl.is_some_and(|t| !(1..=MAX_TTL).contains(&t)) {
             return Err(MbusError::MalformedAddress {
                 reason: "envelope TTL out of range (1..=15)",
             });
@@ -960,7 +921,10 @@ impl Fleet {
             });
         }
         let full = engine.spec(dest.node).full_prefix();
-        let envelope = GatewayNode::encapsulate_ttl(full, fu, &payload, ttl);
+        let envelope = match ttl {
+            Some(t) => GatewayNode::encapsulate_ttl(full, fu, payload, t),
+            None => GatewayNode::encapsulate(full, fu, payload),
+        };
         if envelope.len() > self.config.max_message_bytes() {
             return Err(MbusError::MessageTooLong {
                 len: envelope.len(),
@@ -1001,54 +965,19 @@ impl Fleet {
         self.engine_mut(id)?.request_wakeup(id.node)
     }
 
-    /// Drains one gateway presence's receive log: envelopes are routed
-    /// (queued full-prefix addressed on the destination bus), everything
-    /// else is stashed for [`Fleet::take_rx`]. Returns whether any
-    /// envelope was routed.
-    ///
-    /// [`Fleet::queue`] rejects non-envelope traffic to the forwarding
-    /// port up front, but the drop accounting here stays: an envelope
-    /// whose destination prefix routes nowhere, or malformed traffic
-    /// that reaches the port through a path the queue-time check never
-    /// saw, is still counted against the receiving cluster rather than
-    /// vanishing.
-    fn route_cluster(&mut self, cluster: usize) -> bool {
-        // Disjoint field borrows: the routing table stays shared while
-        // the counters and destination engines take mutable borrows.
-        let Fleet {
-            clusters,
-            gateway,
-            gateway_rx,
-            ..
-        } = self;
-        let GatewayNode { routes, counters } = gateway;
-        let mut progressed = false;
-        for m in clusters[cluster].take_rx(GATEWAY_NODE) {
-            match routes.classify(cluster, m, counters) {
-                GatewayVerdict::Local(m) => gateway_rx[cluster].push(m),
-                GatewayVerdict::Forward { dest_cluster, msg } => {
-                    clusters[dest_cluster]
-                        .queue(GATEWAY_NODE, msg)
-                        .expect("forwarded leg is shorter than its envelope");
-                    progressed = true;
-                }
-                GatewayVerdict::Drop => {}
-            }
-        }
-        progressed
-    }
-
     /// Runs the whole fleet until no bus has pending work and no
-    /// envelope is in flight, handing each transaction to `sink` as it
-    /// completes, in the order `schedule` runs them.
+    /// envelope is in flight, handing each transaction to `sink` in the
+    /// order `schedule` runs them, and returns the drain's
+    /// [`FleetFairness`] (`None` for [`FleetSchedule::Batched`]) — the
+    /// value [`FleetReport::fairness`] carries for the same traffic.
     ///
-    /// Every schedule works in deterministic epochs: it runs each
-    /// cluster to quiescence, then — at the epoch barrier — routes
-    /// every cluster's gateway envelopes in cluster index order; epochs
-    /// repeat until one completes with no transactions run and nothing
-    /// forwarded. A forwarded leg is therefore always queued *between*
-    /// epochs (store-and-forward: the gateway holds it until the
-    /// destination bus's next epoch), regardless of the source and
+    /// Every schedule runs on one driver in deterministic epochs: it
+    /// runs each cluster to quiescence, then — at the epoch barrier —
+    /// routes every cluster's gateway envelopes in cluster index order;
+    /// epochs repeat until one completes with no transactions run and
+    /// nothing forwarded. A forwarded leg is therefore always queued
+    /// *between* epochs (store-and-forward: the gateway holds it until
+    /// the destination bus's next epoch), regardless of the source and
     /// destination cluster indexes.
     ///
     /// Because routing happens only at epoch barriers, each cluster's
@@ -1061,36 +990,14 @@ impl Fleet {
     /// exactly); `tests/interleaved_fleet.rs` and
     /// `tests/sharded_fleet.rs` pin this. The order depends only on
     /// cluster indexes, so it is also identical on every engine kind.
-    pub fn drain(&mut self, schedule: FleetSchedule, sink: &mut dyn FnMut(FleetRecord)) {
-        schedule.driver().drive(self, sink);
-    }
-
-    /// The [`FleetSchedule::Batched`] loop: each epoch drains every
-    /// cluster in index order through the engine's batched
-    /// [`BusEngine::run_until_quiescent_with`] kernel, then routes.
-    fn drain_batched(&mut self, sink: &mut dyn FnMut(FleetRecord)) {
-        loop {
-            let mut progressed = false;
-            for cluster in 0..self.clusters.len() {
-                let mut ran = false;
-                self.clusters[cluster].run_until_quiescent_with(&mut |record| {
-                    sink(FleetRecord {
-                        cluster,
-                        record: record.clone(),
-                    });
-                    ran = true;
-                });
-                progressed |= ran;
-            }
-            // Epoch barrier: every cluster is quiescent; route all
-            // gateway presences in index order.
-            for cluster in 0..self.clusters.len() {
-                progressed |= self.route_cluster(cluster);
-            }
-            if !progressed {
-                return;
-            }
-        }
+    pub fn drain(
+        &mut self,
+        schedule: FleetSchedule,
+        sink: &mut dyn FnMut(FleetRecord),
+    ) -> Option<FleetFairness> {
+        let mut driver = schedule.driver();
+        driver.drive(self, sink);
+        driver.fairness(self.clusters.len())
     }
 
     /// Drains a node's received messages. For a gateway presence this
@@ -1114,30 +1021,31 @@ impl Fleet {
     }
 }
 
-/// Which drive loop a fleet drain uses. Every schedule produces
-/// identical per-cluster record streams (and therefore identical
-/// [`FleetSignature`]s); they differ only in the fleet-wide order the
-/// [`FleetRecord`]s come out in — and the sharded interleave matches
-/// even that against the single-threaded interleave.
+/// How a fleet drain walks its clusters between epoch barriers. All
+/// three run on one driver with one barrier: `Batched` and
+/// `Interleaved` are one shard on the calling thread, `Sharded` is `n`
+/// shards. Every schedule produces identical per-cluster record streams
+/// (and therefore identical [`FleetSignature`]s); they differ only in
+/// the fleet-wide order the [`FleetRecord`]s come out in — and the
+/// sharded interleave matches even that against the single-threaded
+/// interleave.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetSchedule {
-    /// Cluster-major: each epoch drains cluster 0 to quiescence, then
-    /// cluster 1, … Fastest per bus (each cluster stays hot in its
-    /// engine's batched kernel).
+    /// Cluster-major: each epoch drains cluster 0 to quiescence through
+    /// the engine's batched kernel, then cluster 1, …
     #[default]
     Batched,
-    /// Round-robin: one transaction per cluster per round
-    /// ([`InterleavedScheduler`]), so every bus makes progress
-    /// together — the serving shape for thousands of buses on one
-    /// thread.
+    /// Round-robin: one transaction per cluster per round, so every
+    /// bus makes progress together — the serving shape for thousands
+    /// of buses on one thread.
     Interleaved,
-    /// Sharded interleave ([`shard::ShardedFleet`]): cluster groups on
-    /// a persistent worker pool, one interleaved scheduler each,
-    /// shards rebalanced every epoch by measured per-cluster load,
-    /// gateway envelopes exchanged at cross-worker epoch barriers —
-    /// tens of thousands of buses across cores. The record stream
-    /// stays bit-identical to [`FleetSchedule::Interleaved`]
-    /// regardless of worker count or shard assignment.
+    /// Sharded interleave: cluster groups on a persistent worker pool,
+    /// each round-robined, shards rebalanced every epoch by measured
+    /// per-cluster load, gateway envelopes exchanged at cross-worker
+    /// epoch barriers — tens of thousands of buses across cores. The
+    /// record stream stays bit-identical to
+    /// [`FleetSchedule::Interleaved`] regardless of worker count or
+    /// shard assignment.
     Sharded {
         /// Worker-thread count (clamped to the cluster count; 0 is
         /// treated as 1).
@@ -1146,59 +1054,15 @@ pub enum FleetSchedule {
 }
 
 impl FleetSchedule {
-    /// The drive loop behind this schedule — the one place a
+    /// The driver behind this schedule — the one place a
     /// [`FleetSchedule`] is dispatched, shared by [`Fleet::drain`] and
     /// [`FleetWorkload::apply_scheduled`].
-    fn driver(self) -> Box<dyn FleetDriver> {
+    fn driver(self) -> FleetDriver {
         match self {
-            FleetSchedule::Batched => Box::new(BatchedDrain),
-            FleetSchedule::Interleaved => Box::new(InterleavedScheduler::new()),
-            FleetSchedule::Sharded { shards } => Box::new(ShardedFleet::new(shards)),
+            FleetSchedule::Batched => FleetDriver::new(1, Kernel::ClusterMajor),
+            FleetSchedule::Interleaved => FleetDriver::new(1, Kernel::RoundRobin),
+            FleetSchedule::Sharded { shards } => FleetDriver::new(shards, Kernel::RoundRobin),
         }
-    }
-}
-
-/// A fleet drive loop: runs a fleet to quiescence and reports the
-/// fairness counters it kept along the way.
-trait FleetDriver {
-    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord));
-
-    /// The [`FleetReport::fairness`] snapshot, normalized to
-    /// `clusters` entries (`None` for the batched drain, which keeps
-    /// no round-robin counters).
-    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness>;
-}
-
-/// [`FleetSchedule::Batched`]'s stateless driver.
-struct BatchedDrain;
-
-impl FleetDriver for BatchedDrain {
-    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        fleet.drain_batched(sink);
-    }
-
-    fn report_fairness(&self, _clusters: usize) -> Option<FleetFairness> {
-        None
-    }
-}
-
-impl FleetDriver for InterleavedScheduler {
-    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        InterleavedScheduler::drive(self, fleet, sink);
-    }
-
-    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness> {
-        Some(self.fairness(clusters))
-    }
-}
-
-impl FleetDriver for ShardedFleet {
-    fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        ShardedFleet::drive(self, fleet, sink);
-    }
-
-    fn report_fairness(&self, clusters: usize) -> Option<FleetFairness> {
-        Some(self.fairness(clusters))
     }
 }
 
@@ -1208,265 +1072,6 @@ impl fmt::Display for FleetSchedule {
             FleetSchedule::Batched => write!(f, "batched"),
             FleetSchedule::Interleaved => write!(f, "interleaved"),
             FleetSchedule::Sharded { shards } => write!(f, "sharded({shards})"),
-        }
-    }
-}
-
-/// The single-threaded cooperative fleet driver: round-robins one
-/// transaction per cluster per round instead of draining each cluster
-/// to quiescence before touching the next.
-///
-/// Each *round* polls every still-active cluster once through
-/// [`BusEngine::run_transaction`] — which on an [`AnalyticBus`](crate::AnalyticBus)
-/// executes exactly one transaction, so thousands of buses interleave
-/// on one thread. A cluster that reports no work (`None`) drops out of
-/// the round rotation for the rest of the epoch; when every cluster is
-/// quiescent, the epoch barrier routes all gateway envelopes in
-/// cluster index order (identically to the batched drain) and a new
-/// epoch begins. The drain ends when an epoch runs no transaction and
-/// routes nothing.
-///
-/// # Equivalence with the batched drain
-///
-/// Clusters share no state except through gateway routing, and *both*
-/// schedules route only at epoch barriers, so within an epoch each
-/// cluster performs the same autonomous drain from the same start
-/// state either way — single-stepped here, batched there, which the
-/// kernel guarantees are bit-identical (`tests/analytic_batching.rs`).
-/// Hence per-cluster record streams, receive logs, statistics, and
-/// gateway counters are equal between the two schedules, and the
-/// [`FleetSignature`]s match exactly. What *does* differ is the
-/// fleet-wide [`FleetRecord`] order: the batched drain emits each
-/// epoch cluster-major (all of cluster 0's transactions, then all of
-/// cluster 1's, …) while this scheduler emits the first transaction of
-/// every active cluster, then the second of every cluster still
-/// active, and so on. `tests/interleaved_fleet.rs` pins both the
-/// per-cluster equality and the reordering.
-///
-/// # Example
-///
-/// ```
-/// use mbus_core::fleet::{Fleet, InterleavedScheduler};
-/// use mbus_core::{BusConfig, EngineKind, FuId};
-///
-/// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-/// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
-/// let src = fleet.add_sensor(a, false);
-/// let dst = fleet.add_sensor(b, false);
-/// fleet.queue_remote(src, dst, FuId::ZERO, vec![0x42])?;
-///
-/// let mut scheduler = InterleavedScheduler::new();
-/// let mut records = Vec::new();
-/// scheduler.drive(&mut fleet, &mut |r| records.push(r));
-/// assert_eq!(records.len(), 2); // envelope leg + forwarded leg
-/// assert_eq!(scheduler.transactions(), 2);
-/// assert_eq!(fleet.take_rx(dst)[0].payload, vec![0x42]);
-/// # Ok::<(), mbus_core::MbusError>(())
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct InterleavedScheduler {
-    /// Clusters still active in the current epoch, in index order
-    /// (scratch, reused across epochs and drives).
-    active: Vec<usize>,
-    transactions: u64,
-    epochs: u64,
-    /// Transactions per cluster across all drives, indexed by the
-    /// cluster's fleet-global index.
-    cluster_transactions: Vec<u64>,
-    /// Starvation gauge: the most transactions this scheduler ran
-    /// between two consecutive turns of any single cluster.
-    max_turn_gap: u64,
-    /// Hog gauge: the most transactions any single cluster ran within
-    /// one epoch.
-    max_cluster_epoch_transactions: u64,
-    /// Epoch-local scratch (per-cluster turn bookkeeping), reused.
-    epoch_counts: Vec<u64>,
-    last_turn: Vec<u64>,
-}
-
-impl InterleavedScheduler {
-    /// Creates a scheduler with zeroed counters.
-    pub fn new() -> Self {
-        InterleavedScheduler::default()
-    }
-
-    /// Transactions driven across all [`drive`](Self::drive) calls.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
-    }
-
-    /// Completed epochs that made progress — ran a transaction or (for
-    /// [`drive`](Self::drive)) routed an envelope — across all drive
-    /// calls. The empty terminating epoch every drive ends with is
-    /// *not* counted, so driving an already-quiescent fleet leaves the
-    /// counter unchanged and back-to-back drives don't inflate it:
-    ///
-    /// ```
-    /// use mbus_core::fleet::{Fleet, InterleavedScheduler};
-    /// use mbus_core::{BusConfig, EngineKind, FuId};
-    ///
-    /// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    /// let (a, b) = (fleet.add_cluster(), fleet.add_cluster());
-    /// let src = fleet.add_sensor(a, false);
-    /// let dst = fleet.add_sensor(b, false);
-    /// fleet.queue_remote(src, dst, FuId::ZERO, vec![7])?;
-    ///
-    /// let mut scheduler = InterleavedScheduler::new();
-    /// scheduler.drive(&mut fleet, &mut |_| {});
-    /// assert_eq!(scheduler.epochs(), 2); // envelope epoch + forwarded epoch
-    /// scheduler.drive(&mut fleet, &mut |_| {}); // quiescent: no work,
-    /// scheduler.drive(&mut fleet, &mut |_| {}); // so no epochs counted
-    /// assert_eq!(scheduler.epochs(), 2);
-    /// # Ok::<(), mbus_core::MbusError>(())
-    /// ```
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// Transactions each cluster ran across all drives, indexed by the
-    /// cluster's fleet-global index (clusters this scheduler never
-    /// polled may be absent). Schedule-independent: the per-cluster
-    /// totals equal the batched drain's, because the per-cluster
-    /// streams themselves do.
-    pub fn cluster_transactions(&self) -> &[u64] {
-        &self.cluster_transactions
-    }
-
-    /// The starvation gauge: the most transactions that ran between
-    /// two consecutive turns of any single cluster (measured within an
-    /// epoch — the barrier re-admits every cluster). Round-robin
-    /// fairness bounds this by the number of simultaneously active
-    /// clusters; a cluster-major drain of the same traffic would let
-    /// it grow to a whole cluster's backlog.
-    pub fn max_turn_gap(&self) -> u64 {
-        self.max_turn_gap
-    }
-
-    /// The hog gauge: the most transactions any single cluster ran
-    /// within one epoch — how long the busiest bus kept its round slot
-    /// occupied before quiescing.
-    pub fn max_cluster_epoch_transactions(&self) -> u64 {
-        self.max_cluster_epoch_transactions
-    }
-
-    /// Snapshots the fairness counters as a [`FleetFairness`] report
-    /// normalized to `clusters` entries.
-    pub fn fairness(&self, clusters: usize) -> FleetFairness {
-        let mut cluster_transactions = vec![0u64; clusters];
-        for (i, &n) in self.cluster_transactions.iter().enumerate().take(clusters) {
-            cluster_transactions[i] = n;
-        }
-        FleetFairness {
-            cluster_transactions,
-            max_turn_gap: self.max_turn_gap,
-            max_cluster_epoch_transactions: self.max_cluster_epoch_transactions,
-            epochs: self.epochs,
-            ..FleetFairness::default()
-        }
-    }
-
-    /// Grows the per-cluster fairness vectors to cover `end` clusters.
-    fn grow(&mut self, end: usize) {
-        if self.cluster_transactions.len() < end {
-            self.cluster_transactions.resize(end, 0);
-            self.epoch_counts.resize(end, 0);
-            self.last_turn.resize(end, 0);
-        }
-    }
-
-    /// Runs one epoch of round-robin rounds over `entries` — pairs of
-    /// `(fleet-global cluster index, engine)` in ascending cluster
-    /// order — with *no* gateway routing, handing each completed
-    /// transaction to `emit` as `(round, global cluster index,
-    /// record)`. One round polls every still-active cluster once in
-    /// entry order; a cluster that reports no work leaves the rotation
-    /// for the rest of the epoch. Returns whether any transaction ran.
-    /// Does not touch [`epochs`](Self::epochs) — the caller owns the
-    /// barrier and decides whether the epoch counts as progress.
-    ///
-    /// This is the worker-side kernel of the sharded drain
-    /// ([`shard::ShardedFleet`]): each worker runs it over its shard's
-    /// entries — *any* subset of the fleet's clusters, contiguous or
-    /// not — and because a cluster's `j`-th transaction always lands
-    /// in round `j` regardless of what other clusters do, merging all
-    /// shards' emissions by `(round, cluster)` reproduces the
-    /// single-threaded round-robin order exactly, whatever the
-    /// assignment.
-    pub(crate) fn run_epoch_entries(
-        &mut self,
-        entries: &mut [(usize, &mut Box<dyn BusEngine>)],
-        emit: &mut dyn FnMut(u64, usize, EngineRecord),
-    ) -> bool {
-        let end = entries.iter().map(|&(c, _)| c + 1).max().unwrap_or(0);
-        self.grow(end);
-        for &(cluster, _) in entries.iter() {
-            self.epoch_counts[cluster] = 0;
-            self.last_turn[cluster] = 0;
-        }
-        // `active` holds positions into `entries` (not cluster
-        // indices), so sparse shard assignments cost nothing extra.
-        self.active.clear();
-        self.active.extend(0..entries.len());
-        let mut epoch_txns = 0u64;
-        let mut round = 0u64;
-        let mut ran = false;
-        while !self.active.is_empty() {
-            // One round: one transaction per still-active cluster, in
-            // entry order; quiescent clusters leave the epoch. The
-            // survivors are compacted in place (order preserved), so a
-            // round costs O(active) even when thousands of clusters
-            // quiesce at once.
-            let mut kept = 0;
-            for i in 0..self.active.len() {
-                let pos = self.active[i];
-                let (cluster, engine) = &mut entries[pos];
-                let cluster = *cluster;
-                if let Some(record) = engine.run_transaction() {
-                    self.transactions += 1;
-                    epoch_txns += 1;
-                    self.cluster_transactions[cluster] += 1;
-                    self.epoch_counts[cluster] += 1;
-                    if self.epoch_counts[cluster] > 1 {
-                        let gap = epoch_txns - self.last_turn[cluster] - 1;
-                        self.max_turn_gap = self.max_turn_gap.max(gap);
-                    }
-                    self.last_turn[cluster] = epoch_txns;
-                    self.max_cluster_epoch_transactions = self
-                        .max_cluster_epoch_transactions
-                        .max(self.epoch_counts[cluster]);
-                    ran = true;
-                    emit(round, cluster, record);
-                    self.active[kept] = pos;
-                    kept += 1;
-                }
-            }
-            self.active.truncate(kept);
-            round += 1;
-        }
-        ran
-    }
-
-    /// Runs `fleet` until no bus has pending work and no envelope is in
-    /// flight, handing each completed transaction to `sink` in
-    /// round-robin order.
-    pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
-        loop {
-            let mut entries: Vec<(usize, &mut Box<dyn BusEngine>)> =
-                fleet.clusters.iter_mut().enumerate().collect();
-            let ran = self.run_epoch_entries(&mut entries, &mut |_, cluster, record| {
-                sink(FleetRecord { cluster, record })
-            });
-            drop(entries);
-            // Epoch barrier: identical routing discipline to the
-            // batched drain — every gateway presence, in index order.
-            let mut routed = false;
-            for cluster in 0..fleet.clusters.len() {
-                routed |= fleet.route_cluster(cluster);
-            }
-            if !ran && !routed {
-                return;
-            }
-            self.epochs += 1;
         }
     }
 }
@@ -1849,7 +1454,6 @@ impl FleetWorkload {
     /// As [`FleetWorkload::apply`].
     pub fn apply_scheduled(&self, fleet: &mut Fleet, schedule: FleetSchedule) -> FleetReport {
         let mut driver = schedule.driver();
-        let driver = driver.as_mut();
         assert_eq!(
             fleet.cluster_count(),
             self.clusters.len(),
@@ -1890,7 +1494,10 @@ impl FleetWorkload {
         let mut agg_seen: BTreeMap<FleetNodeId, u32> = BTreeMap::new();
         let mut injected_replies = 0u64;
         let mut reply_rounds = 0u64;
-        for step in &self.steps {
+        // The trailing drain is implied unless the steps end with one.
+        let drain = FleetStep::Drain;
+        let implied = !matches!(self.steps.last(), Some(FleetStep::Drain));
+        for step in self.steps.iter().chain(implied.then_some(&drain)) {
             match step {
                 FleetStep::Local { src, msg } => {
                     fleet.queue(*src, msg.clone()).expect("fleet local step");
@@ -1903,11 +1510,9 @@ impl FleetWorkload {
                     priority,
                     ttl,
                 } => {
-                    let mut msg = match ttl {
-                        Some(t) => fleet.remote_message_ttl(*dest, *fu, payload.clone(), *t),
-                        None => fleet.remote_message(*dest, *fu, payload.clone()),
-                    }
-                    .expect("fleet remote step");
+                    let mut msg = fleet
+                        .envelope_message(*dest, *fu, payload, *ttl)
+                        .expect("fleet remote step");
                     if *priority {
                         msg = msg.with_priority();
                     }
@@ -1920,7 +1525,7 @@ impl FleetWorkload {
                     driver.drive(fleet, &mut |r| records.push(r));
                     self.settle_behaviors(
                         fleet,
-                        driver,
+                        &mut driver,
                         &mut records,
                         &mut collected,
                         &mut agg_seen,
@@ -1941,18 +1546,6 @@ impl FleetWorkload {
                     }
                 }
             }
-        }
-        if !matches!(self.steps.last(), Some(FleetStep::Drain)) {
-            driver.drive(fleet, &mut |r| records.push(r));
-            self.settle_behaviors(
-                fleet,
-                driver,
-                &mut records,
-                &mut collected,
-                &mut agg_seen,
-                &mut injected_replies,
-                &mut reply_rounds,
-            );
         }
         let clusters = fleet.cluster_count();
         let rx = (0..clusters)
@@ -1995,7 +1588,7 @@ impl FleetWorkload {
                 .collect(),
             injected_replies,
             reply_rounds,
-            fairness: driver.report_fairness(clusters),
+            fairness: driver.fairness(clusters),
             strict_nulls: self.strict_nulls,
         }
     }
@@ -2011,7 +1604,7 @@ impl FleetWorkload {
     fn settle_behaviors(
         &self,
         fleet: &mut Fleet,
-        driver: &mut dyn FleetDriver,
+        driver: &mut FleetDriver,
         records: &mut Vec<FleetRecord>,
         collected: &mut BTreeMap<FleetNodeId, Vec<ReceivedMessage>>,
         agg_seen: &mut BTreeMap<FleetNodeId, u32>,
@@ -2669,8 +2262,9 @@ pub struct FleetReport {
     /// deliveries-to-quiescence latency gauge of the closed loop.
     /// Reporting only, like `injected_replies`.
     pub reply_rounds: u64,
-    /// Scheduler fairness counters — `Some` for drains driven by the
-    /// interleaved or sharded scheduler, `None` for batched drains.
+    /// Scheduler fairness counters — `Some` for interleaved and
+    /// sharded drains, `None` for batched drains (the value
+    /// [`Fleet::drain`] returns for the same traffic).
     /// Reporting only: not part of [`FleetSignature`] (the turn-gap
     /// gauge is schedule-dependent by design).
     pub fairness: Option<FleetFairness>,
@@ -2693,19 +2287,20 @@ pub struct FleetFairness {
     /// The hog gauge: the most transactions any single cluster ran
     /// within one epoch.
     pub max_cluster_epoch_transactions: u64,
-    /// Progress epochs the drain completed (see
-    /// [`InterleavedScheduler::epochs`]; global barrier count for a
-    /// sharded drain).
+    /// Progress epochs the drain completed: epoch barriers that ran a
+    /// transaction or routed an envelope. The empty epoch every drain
+    /// ends with is not counted, so draining an already-quiescent
+    /// fleet adds none.
     pub epochs: u64,
-    /// Transactions each worker's scheduler ran, indexed by shard —
-    /// the load-balance view of a sharded drain. Empty for
-    /// single-threaded drains. Deterministic (it follows the shard
+    /// Transactions each shard ran, indexed by shard — the
+    /// load-balance view of a sharded drain. One entry for
+    /// interleaved drains. Deterministic (it follows the shard
     /// assignment, which is a pure function of the record stream).
     pub shard_transactions: Vec<u64>,
     /// Wall-clock nanoseconds each shard spent inside its epoch
     /// bodies, summed across epochs, indexed by shard — the barrier
-    /// idle time is the spread between entries. Empty for
-    /// single-threaded drains. **Not** deterministic: a timing gauge,
+    /// idle time is the spread between entries. One entry for
+    /// interleaved drains. **Not** deterministic: a timing gauge,
     /// excluded (like all of [`FleetFairness`]) from
     /// [`FleetSignature`].
     pub shard_wall_nanos: Vec<u64>,
@@ -2714,9 +2309,9 @@ pub struct FleetFairness {
 impl FleetFairness {
     /// Busiest-to-idlest shard wall-time ratio — how much of the
     /// barrier interval the idlest worker spent waiting. `1.0` for
-    /// single-threaded drains, perfectly balanced shards, or when any
-    /// shard recorded zero wall time (degenerate epochs too short to
-    /// measure).
+    /// one-shard (interleaved) drains, perfectly balanced shards, or
+    /// when any shard recorded zero wall time (degenerate epochs too
+    /// short to measure).
     pub fn shard_imbalance(&self) -> f64 {
         let max = self.shard_wall_nanos.iter().copied().max().unwrap_or(0);
         let min = self.shard_wall_nanos.iter().copied().min().unwrap_or(0);
@@ -2834,11 +2429,12 @@ mod tests {
         let fu = FuId::new(0x3).unwrap();
         let bytes = GatewayNode::encapsulate(dest, fu, &[1, 2, 3]);
         assert_eq!(bytes.len(), 4 + 3);
-        let (p, f, inner) = GatewayNode::decapsulate(&bytes).unwrap();
-        assert_eq!((p, f), (dest, fu));
+        let (p, f, ttl, hops, inner) = GatewayNode::open(&bytes).unwrap();
+        assert_eq!((p, f, ttl, hops), (dest, fu, DEFAULT_TTL, 0));
         assert_eq!(inner, vec![1, 2, 3]);
-        assert!(GatewayNode::decapsulate(&[0xF0]).is_none());
-        assert!(GatewayNode::decapsulate(&[0x12, 0x34, 0x56, 0x78]).is_none());
+        assert!(GatewayNode::open(&[0xF0]).is_none());
+        // A short-address header is not a v1 envelope.
+        assert!(GatewayNode::open(&[0x12, 0x34, 0x56, 0x78]).is_none());
     }
 
     #[test]
@@ -2907,7 +2503,6 @@ mod tests {
             assert_eq!(fleet.gateway().dropped(), 2, "{kind}");
             assert_eq!(fleet.gateway().dropped_on(0), 2, "{kind}");
             assert_eq!(fleet.gateway().dropped_on(1), 0, "{kind}");
-            assert_eq!(fleet.gateway().cluster_drops(), &[2], "{kind}");
         }
     }
 
@@ -3179,16 +2774,21 @@ mod tests {
         let src = fleet.add_sensor(a, false);
         let dst = fleet.add_sensor(b, false);
         fleet.queue_remote(src, dst, FuId::ZERO, vec![1]).unwrap();
-        let mut scheduler = InterleavedScheduler::new();
         let mut n = 0u64;
-        scheduler.drive(&mut fleet, &mut |_| n += 1);
+        let fairness = fleet
+            .drain(FleetSchedule::Interleaved, &mut |_| n += 1)
+            .expect("interleaved drains report fairness");
         assert_eq!(n, 2, "envelope leg + forwarded leg");
-        assert_eq!(scheduler.transactions(), 2);
+        assert_eq!(fairness.shard_transactions, vec![2], "one shard");
         // Epoch 1 runs the envelope and routes; epoch 2 runs the
         // forwarded leg; the empty terminating epoch is not counted.
-        assert_eq!(scheduler.epochs(), 2);
-        assert_eq!(scheduler.cluster_transactions(), &[1, 1]);
+        assert_eq!(fairness.epochs, 2);
+        assert_eq!(fairness.cluster_transactions, vec![1, 1]);
         assert_eq!(fleet.take_rx(dst).len(), 1);
+        // A quiescent drain runs no epoch; a batched one reports none.
+        let quiet = fleet.drain(FleetSchedule::Interleaved, &mut |_| {});
+        assert_eq!(quiet.map(|f| f.epochs), Some(0));
+        assert_eq!(fleet.drain(FleetSchedule::Batched, &mut |_| {}), None);
     }
 
     #[test]

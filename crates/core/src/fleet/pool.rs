@@ -3,10 +3,10 @@
 //! Spawning a fresh worker per shard *per epoch* would pay the
 //! spawn/join cost on every short epoch (measured: more peak memory
 //! and lower throughput than this pool on the repo benchmark's
-//! `fleet-open` workload). This pool keeps the
-//! [`ShardedFleet`](super::ShardedFleet) workers alive across epochs
-//! (and across whole drives), parked on a
-//! hand-rolled `Mutex`/`Condvar` rendezvous barrier: the driver
+//! `fleet-open` workload). This pool keeps the fleet driver's
+//! (`fleet/shard.rs`) workers alive across epochs (and across whole
+//! drives), parked on a hand-rolled `Mutex`/`Condvar` rendezvous
+//! barrier: the driver
 //! publishes one job per worker, the workers run them and report
 //! completion, and the driver blocks until the whole generation has
 //! finished before touching anything the jobs borrowed.
@@ -17,12 +17,12 @@
 //! before their borrows do. A persistent pool cannot — its threads
 //! outlive every epoch — so the proof moves into one dynamic
 //! invariant, stated on [`WorkerPool::submit`] and discharged by the
-//! caller ([`super::ShardedFleet::drive`]) with a wait-on-drop
-//! guard: **no borrow handed to a job is touched or expired until
-//! [`WorkerPool::wait_all`] returns for that generation**, including
-//! when the driver thread unwinds from a panic in shard 0, which it
-//! runs itself. Jobs are lifetime-erased behind
-//! that invariant; nothing else in the pool is `unsafe`.
+//! caller (the fleet driver's epoch loop in `fleet/shard.rs`) with a
+//! wait-on-drop guard: **no borrow handed to a job is touched or
+//! expired until [`WorkerPool::wait_all`] returns for that
+//! generation**, including when the driver thread unwinds from a
+//! panic in shard 0, which it runs itself. Jobs are lifetime-erased
+//! behind that invariant; nothing else in the pool is `unsafe`.
 //!
 //! A job that panics is caught on the worker (the worker survives for
 //! the next generation), the payload is stashed, and the driver
@@ -80,9 +80,10 @@ struct Shared {
 }
 
 /// Long-lived worker threads behind a generation barrier. Created
-/// lazily by the first multi-worker persistent epoch and reused for
-/// every epoch after; dropped (with a clean join) when the owning
-/// [`super::ShardedFleet`] goes away.
+/// empty with its driver; the first multi-shard epoch spawns the
+/// workers, which every epoch after reuses (a one-shard driver submits
+/// zero-job generations and never spawns one). Dropped (with a clean
+/// join) when the owning fleet driver goes away.
 pub(crate) struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,

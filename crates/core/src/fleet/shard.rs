@@ -1,47 +1,53 @@
-//! Sharded fleet drains: groups of interleaved clusters on a
-//! persistent worker pool, synchronized at cross-worker gateway
-//! barriers, with shards rebalanced by measured load.
+//! The fleet driver: the one epoch barrier behind every
+//! [`FleetSchedule`], with cluster groups on a persistent worker pool
+//! rebalanced by measured load.
 //!
-//! The single-threaded [`InterleavedScheduler`] serves thousands of
-//! buses on one core; this module scales that shape across cores. A
-//! [`ShardedFleet`] partitions a fleet's clusters into **shards**,
+//! Every schedule is a shard count plus a per-shard kernel:
+//! [`FleetSchedule::Batched`] is one shard draining each cluster to
+//! quiescence in turn, [`FleetSchedule::Interleaved`] is one shard
+//! round-robining one transaction per cluster per round, and
+//! [`FleetSchedule::Sharded`] is `n` round-robin shards. A
+//! [`FleetDriver`] partitions a fleet's clusters into **shards**,
 //! load-balanced by measured per-cluster work, and, each epoch, runs
-//! one `InterleavedScheduler` per shard on a long-lived `WorkerPool`
-//! (`fleet/pool.rs`) worker. When every shard's clusters are
-//! quiescent, the workers hand back **per-shard outboxes**
-//! (classified gateway envelopes plus local-traffic stashes
-//! and drop counters) and the barrier exchanges them: forwarded legs
-//! are queued onto their destination buses in **global source-cluster
-//! order**, exactly as the single-threaded routing pass would.
+//! shard 0 on the driver thread and every other shard on a long-lived
+//! `WorkerPool` (`fleet/pool.rs`) worker — so one shard starts no
+//! thread. When every shard's clusters are quiescent, the shards hand
+//! back **per-shard outboxes** (classified gateway envelopes plus
+//! local-traffic stashes and drop counters) and the barrier exchanges
+//! them: forwarded legs are queued onto their destination buses in
+//! **global source-cluster order**. This barrier is the only code that
+//! routes envelopes.
 //!
 //! # Equivalence argument
 //!
-//! The sharded drain is *bit-identical* to the single-threaded
-//! interleaved drain — not just per-cluster, but in the fleet-wide
-//! record order too, for every shard count and shard assignment:
+//! Every shard count and shard assignment yields the same fleet-wide
+//! record stream as one round-robin shard, and every schedule yields
+//! the same per-cluster streams:
 //!
 //! * **Per-cluster streams.** Clusters share no state except through
-//!   barrier routing, and a worker's epoch issues each of its clusters
-//!   the identical `run_transaction`-until-quiescent call sequence the
-//!   single-threaded scheduler would. So each cluster performs the
-//!   same autonomous drain from the same epoch-start state — whichever
-//!   shard it currently sits on.
+//!   barrier routing, and both kernels drain each cluster with
+//!   `run_transaction` until it reports no work (the batched
+//!   [`BusEngine::run_until_quiescent_with`] is bit-identical to
+//!   single-stepping, `tests/analytic_batching.rs`). So each cluster
+//!   performs the same autonomous drain from the same epoch-start
+//!   state — whichever kernel runs it and whichever shard it sits on.
 //! * **Record order.** In round-robin, a cluster's `j`-th transaction
 //!   of an epoch always runs in round `j`, *independent of every other
 //!   cluster* (a cluster stays in the rotation exactly until its own
-//!   work runs out). The single-threaded scheduler therefore emits an
-//!   epoch's records sorted by `(round, cluster index)` — and merging
-//!   all shards' `(round, cluster, record)` emissions by that same key
-//!   reproduces the order exactly, whatever the shard assignment.
-//! * **Gateway counters.** Workers classify their own clusters'
+//!   work runs out). One round-robin shard therefore emits an epoch's
+//!   records sorted by `(round, cluster index)` — and merging all
+//!   shards' `(round, cluster, record)` emissions by that same key
+//!   reproduces the order exactly, whatever the shard assignment. The
+//!   cluster-major kernel tags every record round 0, so the stable
+//!   merge keeps its cluster-major order.
+//! * **Gateway counters.** Shards classify their own clusters'
 //!   envelopes against the shared read-only [`GatewayRoutes`] table
 //!   into per-shard counters; every counter is a sum, so the
-//!   barrier-time merge is order-independent and equals the
-//!   single-threaded totals, per-cluster drop attribution included.
+//!   barrier-time merge is order-independent, per-cluster drop
+//!   attribution included.
 //! * **Routing order.** Forwarded legs are tagged with their source
 //!   cluster and stably sorted by it at the barrier, so they are
-//!   queued by (source cluster, receive position) — the
-//!   single-threaded `route_cluster` loop's order — even when a
+//!   queued by (source cluster, receive position) even when a
 //!   rebalance has made shards non-contiguous. Queueing never executes
 //!   bus work (engines only run inside epochs), so barrier-internal
 //!   interleaving of `take_rx` and `queue` calls is immaterial.
@@ -52,9 +58,9 @@
 //!   therefore replays identically run-to-run, and by the points above
 //!   the *output* never depends on it anyway.
 //!
-//! `tests/sharded_fleet.rs` pins all of this over hundreds of seeds,
-//! every [`EngineKind`](crate::engine::EngineKind) and shard counts
-//! 1/2/4/7.
+//! `tests/interleaved_fleet.rs` and `tests/sharded_fleet.rs` pin all of
+//! this over hundreds of seeds, every
+//! [`EngineKind`](crate::engine::EngineKind) and shard counts 1/2/4/7.
 //!
 //! # Threading model
 //!
@@ -69,30 +75,32 @@
 //! keeps the engine borrows alive across driver unwinds until every
 //! worker has finished its generation — discharging the
 //! `WorkerPool::submit` safety contract.
+//!
+//! [`FleetSchedule`]: super::FleetSchedule
+//! [`FleetSchedule::Batched`]: super::FleetSchedule::Batched
+//! [`FleetSchedule::Interleaved`]: super::FleetSchedule::Interleaved
+//! [`FleetSchedule::Sharded`]: super::FleetSchedule::Sharded
 
 use std::any::Any;
 use std::cmp::Reverse;
-use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc;
 use std::time::Instant;
 
 use super::pool::WorkerPool;
 use super::{
-    Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayRoutes, GatewayVerdict,
-    InterleavedScheduler, GATEWAY_NODE,
+    Fleet, FleetFairness, FleetRecord, GatewayCounters, GatewayRoutes, GatewayVerdict, GATEWAY_NODE,
 };
 use crate::engine::{BusEngine, EngineRecord, ReceivedMessage};
 use crate::message::Message;
 
-/// One epoch's worth of exclusive engine access for one shard:
-/// `(fleet-global cluster index, engine)` pairs in ascending cluster
-/// order.
-type ShardEntries<'a> = Vec<(usize, &'a mut Box<dyn BusEngine>)>;
+/// One cluster's exclusive engine access for an epoch:
+/// `(fleet-global cluster index, engine)`.
+type Entry<'a> = (usize, &'a mut Box<dyn BusEngine>);
 
-/// Exclusive access to one shard's engines for the duration of one
-/// epoch, movable onto a worker thread.
-struct ShardEngines<'a>(ShardEntries<'a>);
+/// Exclusive access to one shard's engines, in ascending cluster
+/// order, for the duration of one epoch, movable onto a worker thread.
+struct ShardEngines<'a>(Vec<Entry<'a>>);
 
 // SEND-AUDIT: this file pairs an `impl Send` with engines whose
 // internals are `Rc`-based; the audit that no `Rc`/`RefCell` is ever
@@ -113,6 +121,128 @@ struct ShardEngines<'a>(ShardEntries<'a>);
 // engines.
 unsafe impl Send for ShardEngines<'_> {}
 
+/// How a shard runs its clusters within one epoch.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(super) enum Kernel {
+    /// One transaction per still-active cluster per round (the
+    /// interleaved and sharded schedules).
+    RoundRobin,
+    /// Each cluster to quiescence in turn through the engine's batched
+    /// kernel (the batched schedule).
+    ClusterMajor,
+}
+
+/// One shard's kernel state and fairness counters, kept across epochs
+/// and drives.
+#[derive(Debug, Default)]
+struct ShardScheduler {
+    /// Positions into the epoch's entries still active this epoch
+    /// (scratch, reused across epochs and drives).
+    active: Vec<usize>,
+    /// Transactions this shard ran per cluster across all drives,
+    /// indexed by the cluster's fleet-global index.
+    cluster_transactions: Vec<u64>,
+    /// Starvation gauge: the most transactions this shard ran between
+    /// two consecutive turns of any single cluster.
+    max_turn_gap: u64,
+    /// Hog gauge: the most transactions any single cluster ran within
+    /// one epoch.
+    max_cluster_epoch_transactions: u64,
+    /// Wall-clock nanoseconds spent in this shard's epoch bodies
+    /// (barrier time excluded) — the per-shard load gauge surfaced
+    /// through [`FleetFairness::shard_wall_nanos`].
+    wall_nanos: u64,
+    /// Epoch-local scratch (per-cluster turn bookkeeping), reused.
+    epoch_counts: Vec<u64>,
+    last_turn: Vec<u64>,
+}
+
+impl ShardScheduler {
+    /// The [`Kernel::RoundRobin`] epoch over `entries` — *any* subset
+    /// of the fleet's clusters, in ascending cluster order — with *no*
+    /// gateway routing, handing each completed transaction to `emit` as
+    /// `(round, global cluster index, record)`. One round polls every
+    /// still-active cluster once in entry order; a cluster that reports
+    /// no work leaves the rotation for the rest of the epoch. Returns
+    /// whether any transaction ran.
+    fn run_round_robin(
+        &mut self,
+        entries: &mut [Entry<'_>],
+        emit: &mut dyn FnMut(u64, usize, EngineRecord),
+    ) -> bool {
+        let end = entries.iter().map(|&(c, _)| c + 1).max().unwrap_or(0);
+        if self.cluster_transactions.len() < end {
+            self.cluster_transactions.resize(end, 0);
+            self.epoch_counts.resize(end, 0);
+            self.last_turn.resize(end, 0);
+        }
+        for &(cluster, _) in entries.iter() {
+            self.epoch_counts[cluster] = 0;
+            self.last_turn[cluster] = 0;
+        }
+        // `active` holds positions into `entries` (not cluster
+        // indices), so sparse shard assignments cost nothing extra.
+        self.active.clear();
+        self.active.extend(0..entries.len());
+        let mut epoch_txns = 0u64;
+        let mut round = 0u64;
+        let mut ran = false;
+        while !self.active.is_empty() {
+            // One round: one transaction per still-active cluster, in
+            // entry order; quiescent clusters leave the epoch. The
+            // survivors are compacted in place (order preserved), so a
+            // round costs O(active) even when thousands of clusters
+            // quiesce at once.
+            let mut kept = 0;
+            for i in 0..self.active.len() {
+                let pos = self.active[i];
+                let (cluster, engine) = &mut entries[pos];
+                let cluster = *cluster;
+                if let Some(record) = engine.run_transaction() {
+                    epoch_txns += 1;
+                    self.cluster_transactions[cluster] += 1;
+                    self.epoch_counts[cluster] += 1;
+                    if self.epoch_counts[cluster] > 1 {
+                        let gap = epoch_txns - self.last_turn[cluster] - 1;
+                        self.max_turn_gap = self.max_turn_gap.max(gap);
+                    }
+                    self.last_turn[cluster] = epoch_txns;
+                    self.max_cluster_epoch_transactions = self
+                        .max_cluster_epoch_transactions
+                        .max(self.epoch_counts[cluster]);
+                    ran = true;
+                    emit(round, cluster, record);
+                    self.active[kept] = pos;
+                    kept += 1;
+                }
+            }
+            self.active.truncate(kept);
+            round += 1;
+        }
+        ran
+    }
+}
+
+/// The [`Kernel::ClusterMajor`] epoch: drains each entry's cluster to
+/// quiescence in entry order through the engine's batched
+/// [`BusEngine::run_until_quiescent_with`], tagging every record
+/// round 0 so the barrier's stable merge keeps the cluster-major
+/// order. Keeps no fairness counters (batched drains report none).
+fn run_cluster_major(
+    entries: &mut [Entry<'_>],
+    emit: &mut dyn FnMut(u64, usize, EngineRecord),
+) -> bool {
+    let mut ran = false;
+    for (cluster, engine) in entries.iter_mut() {
+        let cluster = *cluster;
+        engine.run_until_quiescent_with(&mut |record| {
+            ran = true;
+            emit(0, cluster, record.clone());
+        });
+    }
+    ran
+}
+
 /// What one shard hands back at an epoch barrier.
 #[derive(Default)]
 struct ShardEpoch {
@@ -120,7 +250,7 @@ struct ShardEpoch {
     ran: bool,
     /// `(round, global cluster, record)` emissions, already sorted by
     /// `(round, cluster)` — the merge key that reproduces the
-    /// single-threaded round-robin order.
+    /// single-shard order.
     records: Vec<(u64, usize, EngineRecord)>,
     /// Non-envelope gateway traffic, per global cluster, for the
     /// fleet's `take_rx` stash.
@@ -134,25 +264,30 @@ struct ShardEpoch {
     /// into the fleet's [`GatewayNode`](super::GatewayNode) at the
     /// barrier.
     counters: GatewayCounters,
-    /// Wall-clock nanoseconds the shard spent in this epoch body —
-    /// the per-shard load gauge surfaced through
-    /// [`FleetFairness::shard_wall_nanos`].
-    wall_nanos: u64,
 }
 
-/// One worker's epoch: interleave the shard's clusters to quiescence,
-/// then classify their gateway presences' receive logs against the
-/// shared routing table into the shard's outbox.
+/// One shard's epoch: run the shard's clusters to quiescence under
+/// `kernel`, then classify their gateway presences' receive logs
+/// against the shared routing table into the shard's outbox.
 fn run_shard_epoch(
     mut engines: ShardEngines<'_>,
-    scheduler: &mut InterleavedScheduler,
+    scheduler: &mut ShardScheduler,
+    kernel: Kernel,
     routes: &GatewayRoutes,
 ) -> ShardEpoch {
+    // WALL-CLOCK: per-shard load gauge for the fairness report only;
+    // `wall_nanos` never reaches a signature-bearing stream (signatures
+    // are pure functions of seeds — see the determinism contract in the
+    // module docs).
+    let start = Instant::now();
     let entries = &mut engines.0;
     let mut records = Vec::new();
-    let ran = scheduler.run_epoch_entries(entries, &mut |round, cluster, record| {
-        records.push((round, cluster, record))
-    });
+    let mut emit =
+        |round: u64, cluster: usize, record: EngineRecord| records.push((round, cluster, record));
+    let ran = match kernel {
+        Kernel::RoundRobin => scheduler.run_round_robin(entries, &mut emit),
+        Kernel::ClusterMajor => run_cluster_major(entries, &mut emit),
+    };
     let mut out = ShardEpoch {
         ran,
         records,
@@ -163,8 +298,11 @@ fn run_shard_epoch(
         for m in engine.take_rx(GATEWAY_NODE) {
             // All counting (forwards, mesh hops, per-hop drops)
             // happens inside `classify`, against this shard's epoch
-            // counters — merged at the barrier, so the totals are
-            // identical to the single-threaded routing discipline.
+            // counters — merged at the barrier, so the totals do not
+            // depend on the shard assignment. `Fleet::queue` rejects
+            // non-envelopes on the forwarding port, but traffic that
+            // arrives by a path it never saw is still counted dropped
+            // against this cluster rather than vanishing.
             match routes.classify(cluster, m, &mut out.counters) {
                 GatewayVerdict::Local(m) => out.stash.push((cluster, m)),
                 GatewayVerdict::Forward { dest_cluster, msg } => {
@@ -174,54 +312,13 @@ fn run_shard_epoch(
             }
         }
     }
-    out
-}
-
-/// [`run_shard_epoch`] with the wall-clock gauge filled in.
-fn timed_shard_epoch(
-    engines: ShardEngines<'_>,
-    scheduler: &mut InterleavedScheduler,
-    routes: &GatewayRoutes,
-) -> ShardEpoch {
-    // WALL-CLOCK: per-shard load gauge for the fairness report only;
-    // `wall_nanos` never reaches a signature-bearing stream (signatures
-    // are pure functions of seeds — see the determinism contract in the
-    // module docs).
-    let start = Instant::now();
-    let mut out = run_shard_epoch(engines, scheduler, routes);
-    out.wall_nanos = start.elapsed().as_nanos() as u64;
+    scheduler.wall_nanos += start.elapsed().as_nanos() as u64;
     out
 }
 
 /// What a worker reports for one shard: the epoch results, or the
 /// panic payload its job caught.
 type ShardOutcome = Result<ShardEpoch, Box<dyn Any + Send>>;
-
-/// Rendezvous for a pool epoch: workers deliver their shard results
-/// (or caught panics) as they finish; the driver receives them in
-/// completion order.
-#[derive(Default)]
-struct EpochInbox {
-    slots: Mutex<Vec<(usize, ShardOutcome)>>,
-    ready: Condvar,
-}
-
-impl EpochInbox {
-    fn deliver(&self, shard: usize, result: ShardOutcome) {
-        self.slots.lock().expect("inbox lock").push((shard, result));
-        self.ready.notify_all();
-    }
-
-    fn recv(&self) -> (usize, ShardOutcome) {
-        let mut slots = self.slots.lock().expect("inbox lock");
-        loop {
-            if let Some(item) = slots.pop() {
-                return item;
-            }
-            slots = self.ready.wait(slots).expect("inbox lock");
-        }
-    }
-}
 
 /// Keeps the engine borrows handed to the pool alive until the whole
 /// generation has finished, even if the driver thread unwinds (e.g.
@@ -237,52 +334,24 @@ impl Drop for EpochGuard<'_> {
     }
 }
 
-/// The multi-threaded fleet driver: cluster shards on a persistent
-/// worker pool, one [`InterleavedScheduler`] per shard, gateway
-/// envelopes exchanged at cross-worker epoch barriers, shards
-/// rebalanced by measured per-cluster load.
-///
-/// Drives any [`Fleet`] exactly like [`InterleavedScheduler::drive`]
-/// — same record stream, same receive logs, same statistics, same
-/// gateway counters (see the [module docs](self) for why) — while
-/// spreading the per-epoch bus work across up to `shards` cores.
-/// The worker threads live across epochs and drives. Like the
-/// scheduler, a `ShardedFleet` is reusable across drives and
-/// accumulates its counters.
-///
-/// # Example
-///
-/// ```
-/// use mbus_core::fleet::{Fleet, ShardedFleet};
-/// use mbus_core::{BusConfig, EngineKind, FuId};
-///
-/// let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-/// for _ in 0..8 {
-///     let c = fleet.add_cluster();
-///     fleet.add_sensor(c, false);
-/// }
-/// let src = mbus_core::FleetNodeId::new(0, 1);
-/// let dst = mbus_core::FleetNodeId::new(7, 1);
-/// fleet.queue_remote(src, dst, FuId::ZERO, vec![0x42])?;
-///
-/// let mut sharded = ShardedFleet::new(4);
-/// let mut records = Vec::new();
-/// sharded.drive(&mut fleet, &mut |r| records.push(r));
-/// assert_eq!(records.len(), 2); // envelope leg + forwarded leg
-/// assert_eq!(sharded.transactions(), 2);
-/// assert_eq!(fleet.take_rx(dst)[0].payload, vec![0x42]);
-/// # Ok::<(), mbus_core::MbusError>(())
-/// ```
+/// The drive loop behind every [`FleetSchedule`](super::FleetSchedule):
+/// cluster shards, shard 0 on the driver thread and the rest on a
+/// persistent worker pool, gateway envelopes exchanged at epoch
+/// barriers, shards rebalanced by measured per-cluster load. Reusable
+/// across drives; its counters accumulate.
 #[derive(Debug)]
-pub struct ShardedFleet {
+pub(super) struct FleetDriver {
     shards: usize,
-    /// The long-lived workers, created by the first multi-worker epoch
-    /// and reused for every epoch after.
-    pool: Option<WorkerPool>,
-    /// One persistent scheduler per worker slot, so fairness counters
-    /// accumulate across epochs and drives exactly as the
-    /// single-threaded scheduler's do.
-    schedulers: Vec<InterleavedScheduler>,
+    kernel: Kernel,
+    /// The long-lived workers, spawned by the first multi-shard epoch
+    /// and reused for every epoch after (none for one shard).
+    pool: WorkerPool,
+    /// One persistent scheduler per shard, so fairness counters
+    /// accumulate across epochs and drives.
+    schedulers: Vec<ShardScheduler>,
+    /// Progress epochs (barriers that ran a transaction or routed an
+    /// envelope) across all drives; the empty terminating epoch every
+    /// drive ends with is not counted.
     epochs: u64,
     /// Current cluster-to-shard assignment: `assignment[s]` lists
     /// shard `s`'s clusters in ascending order; together the lists
@@ -292,120 +361,96 @@ pub struct ShardedFleet {
     /// The epoch count the assignment was last computed at; a new
     /// progress epoch makes it due again.
     rebalanced_at: Option<u64>,
-    /// Cumulative wall-clock nanoseconds per shard (epoch bodies only,
-    /// barrier time excluded), indexed by shard.
-    shard_wall_nanos: Vec<u64>,
 }
 
-impl Default for ShardedFleet {
-    fn default() -> Self {
-        ShardedFleet::new(1)
-    }
-}
-
-impl ShardedFleet {
-    /// Creates a driver that spreads each epoch across up to `shards`
-    /// workers (0 is treated as 1; the effective worker count is
-    /// further clamped to the driven fleet's cluster count),
-    /// rebalancing by measured load every epoch.
-    pub fn new(shards: usize) -> Self {
-        ShardedFleet {
+impl FleetDriver {
+    /// A driver that spreads each epoch across up to `shards` shards
+    /// (0 is treated as 1; the effective count is further clamped to
+    /// the driven fleet's cluster count), each running `kernel`.
+    pub(super) fn new(shards: usize, kernel: Kernel) -> Self {
+        FleetDriver {
             shards: shards.max(1),
-            pool: None,
+            kernel,
+            pool: WorkerPool::new(),
             schedulers: Vec::new(),
             epochs: 0,
             assignment: Vec::new(),
             assigned_clusters: 0,
             rebalanced_at: None,
-            shard_wall_nanos: Vec::new(),
         }
     }
 
-    /// The configured shard (worker) count.
-    pub fn shards(&self) -> usize {
-        self.shards
+    /// The [`FleetReport::fairness`](super::FleetReport::fairness)
+    /// view, normalized to `clusters` entries: `None` for the
+    /// cluster-major kernel, which keeps no round-robin counters.
+    /// Per-cluster totals are summed over shards, the starvation and
+    /// hog gauges are maxima over shards, and the per-shard
+    /// transaction/wall-time gauges expose the load balance.
+    pub(super) fn fairness(&self, clusters: usize) -> Option<FleetFairness> {
+        if self.kernel == Kernel::ClusterMajor {
+            return None;
+        }
+        let shards = &self.schedulers;
+        Some(FleetFairness {
+            cluster_transactions: self.cluster_transactions(clusters),
+            max_turn_gap: shards.iter().map(|s| s.max_turn_gap).max().unwrap_or(0),
+            max_cluster_epoch_transactions: shards
+                .iter()
+                .map(|s| s.max_cluster_epoch_transactions)
+                .max()
+                .unwrap_or(0),
+            epochs: self.epochs,
+            shard_transactions: shards
+                .iter()
+                .map(|s| s.cluster_transactions.iter().sum())
+                .collect(),
+            shard_wall_nanos: shards.iter().map(|s| s.wall_nanos).collect(),
+        })
     }
 
-    /// The current cluster-to-shard assignment: entry `s` lists shard
-    /// `s`'s clusters in ascending order. Empty before the first
-    /// drive; refreshed at every progress epoch.
-    pub fn shard_assignment(&self) -> &[Vec<usize>] {
+    /// Transactions per cluster across all drives, summed over the
+    /// shards that ran them, for the first `clusters` clusters.
+    fn cluster_transactions(&self, clusters: usize) -> Vec<u64> {
+        let mut totals = vec![0; clusters];
+        for s in &self.schedulers {
+            for (total, &n) in totals.iter_mut().zip(&s.cluster_transactions) {
+                *total += n;
+            }
+        }
+        totals
+    }
+
+    /// The current cluster-to-shard assignment.
+    #[cfg(test)]
+    fn shard_assignment(&self) -> &[Vec<usize>] {
         &self.assignment
     }
 
-    /// Transactions driven across all [`drive`](Self::drive) calls,
-    /// summed over every shard.
-    pub fn transactions(&self) -> u64 {
-        self.schedulers.iter().map(|s| s.transactions()).sum()
-    }
-
-    /// Progress epochs (cross-worker barriers that ran a transaction
-    /// or routed an envelope) across all drives — the same contract as
-    /// [`InterleavedScheduler::epochs`]: the empty terminating epoch
-    /// is not counted, so back-to-back drives on a quiescent fleet
-    /// leave the counter unchanged.
-    pub fn epochs(&self) -> u64 {
-        self.epochs
-    }
-
-    /// The per-shard schedulers, in shard order — each exposes its own
-    /// transaction and fairness counters for per-worker reporting.
-    pub fn shard_schedulers(&self) -> &[InterleavedScheduler] {
-        &self.schedulers
-    }
-
-    /// The merged fairness view across all shards, normalized to
-    /// `clusters` entries: per-cluster transaction totals are summed
-    /// (shards own disjoint clusters, so this is exact), the
-    /// starvation and hog gauges are maxima over shards,
-    /// [`FleetFairness::epochs`] is the global barrier count, and the
-    /// per-shard transaction/wall-time gauges expose the load balance.
-    pub fn fairness(&self, clusters: usize) -> FleetFairness {
-        let mut merged = FleetFairness {
-            cluster_transactions: vec![0; clusters],
-            epochs: self.epochs,
-            shard_transactions: self.schedulers.iter().map(|s| s.transactions()).collect(),
-            shard_wall_nanos: self.shard_wall_nanos.clone(),
-            ..FleetFairness::default()
-        };
-        for s in &self.schedulers {
-            for (i, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
-                merged.cluster_transactions[i] += n;
-            }
-            merged.max_turn_gap = merged.max_turn_gap.max(s.max_turn_gap());
-            merged.max_cluster_epoch_transactions = merged
-                .max_cluster_epoch_transactions
-                .max(s.max_cluster_epoch_transactions());
-        }
-        merged
-    }
-
-    /// Recomputes the cluster-to-shard assignment when a progress
-    /// epoch has passed since the last one, or the fleet or worker
-    /// count changed: index-tie-broken greedy bin-packing on the
-    /// accumulated per-cluster transaction counters.
+    /// Recomputes the cluster-to-shard assignment when the fleet or
+    /// shard count changed, or — with more than one shard — when a
+    /// progress epoch has passed since the last one: index-tie-broken
+    /// greedy bin-packing on the accumulated per-cluster transaction
+    /// counters. One shard owns `0..clusters`, no sort needed.
     fn refresh_assignment(&mut self, clusters: usize, workers: usize) {
         let stale = self.assignment.len() != workers || self.assigned_clusters != clusters;
-        if !stale && self.rebalanced_at == Some(self.epochs) {
+        if !stale && (workers == 1 || self.rebalanced_at == Some(self.epochs)) {
             return;
         }
-        let mut weights = vec![0u64; clusters];
-        for s in &self.schedulers {
-            for (c, &n) in s.cluster_transactions().iter().enumerate().take(clusters) {
-                weights[c] += n;
-            }
-        }
-        self.assignment = balance_by_weight(&weights, workers);
+        self.assignment = if workers == 1 {
+            vec![(0..clusters).collect()]
+        } else {
+            balance_by_weight(&self.cluster_transactions(clusters), workers)
+        };
         self.assigned_clusters = clusters;
         self.rebalanced_at = Some(self.epochs);
     }
 
     /// Runs `fleet` until no bus has pending work and no envelope is
     /// in flight, handing each completed transaction to `sink` in the
-    /// single-threaded interleaved drain's round-robin order (the
-    /// barrier merges the shards' emissions by `(round, cluster)`;
-    /// records therefore reach `sink` in epoch-sized batches).
-    pub fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
+    /// schedule's order (the barrier merges the shards' emissions by
+    /// `(round, cluster)`; records therefore reach `sink` in
+    /// epoch-sized batches).
+    pub(super) fn drive(&mut self, fleet: &mut Fleet, sink: &mut dyn FnMut(FleetRecord)) {
         let n = fleet.clusters.len();
         if n == 0 {
             return;
@@ -413,105 +458,95 @@ impl ShardedFleet {
         let workers = self.shards.min(n);
         if self.schedulers.len() < workers {
             self.schedulers
-                .resize_with(workers, InterleavedScheduler::new);
+                .resize_with(workers, ShardScheduler::default);
         }
-        if self.shard_wall_nanos.len() < workers {
-            self.shard_wall_nanos.resize(workers, 0);
-        }
+        // The epoch inbox: pool jobs send their shard's results (or
+        // caught panics) back in completion order.
+        let (done, inbox) = mpsc::channel::<(usize, ShardOutcome)>();
         loop {
             self.refresh_assignment(n, workers);
 
-            // Epoch: every shard interleaves its clusters to
-            // quiescence and classifies its gateway traffic, in
-            // parallel against the shared read-only routing table.
+            // Epoch: every shard runs its clusters to quiescence and
+            // classifies its gateway traffic, in parallel against the
+            // shared read-only routing table.
             let (results, first_panic) = {
-                let ShardedFleet {
+                let FleetDriver {
+                    kernel,
                     pool,
                     schedulers,
                     assignment,
                     ..
                 } = &mut *self;
+                let kernel = *kernel;
                 let routes = &fleet.gateway.routes;
-                let mut results: Vec<Option<ShardEpoch>> = Vec::new();
-                results.resize_with(workers, || None);
+                let mut results: Vec<Option<ShardEpoch>> = (0..workers).map(|_| None).collect();
                 let mut first_panic: Option<Box<dyn Any + Send>> = None;
 
-                if workers == 1 {
-                    let entries: ShardEntries<'_> = fleet.clusters.iter_mut().enumerate().collect();
-                    results[0] = Some(timed_shard_epoch(
-                        ShardEngines(entries),
-                        &mut schedulers[0],
-                        routes,
-                    ));
-                } else {
-                    // Hand each shard exclusive &mut access to exactly
-                    // its clusters' engines.
-                    let mut slots: Vec<Option<&mut Box<dyn BusEngine>>> =
-                        fleet.clusters.iter_mut().map(Some).collect();
-                    let shard_engines: Vec<ShardEngines<'_>> = assignment
-                        .iter()
-                        .map(|members| {
-                            ShardEngines(
-                                members
-                                    .iter()
-                                    .map(|&c| {
-                                        (c, slots[c].take().expect("cluster assigned to one shard"))
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect();
+                // Hand each shard exclusive &mut access to exactly its
+                // clusters' engines.
+                let mut slots: Vec<Option<&mut Box<dyn BusEngine>>> =
+                    fleet.clusters.iter_mut().map(Some).collect();
+                let shard_engines: Vec<ShardEngines<'_>> = assignment
+                    .iter()
+                    .map(|members| {
+                        ShardEngines(
+                            members
+                                .iter()
+                                .map(|&c| {
+                                    (c, slots[c].take().expect("cluster assigned to one shard"))
+                                })
+                                .collect(),
+                        )
+                    })
+                    .collect();
 
-                    // Shards 1.. go to the pool's long-lived workers,
-                    // the driver runs shard 0 itself, and results
-                    // stream back through the inbox in completion
-                    // order.
-                    let pool = pool.get_or_insert_with(WorkerPool::new);
-                    let inbox = EpochInbox::default();
-                    let mut engines_iter = shard_engines.into_iter();
-                    let shard0 = engines_iter.next().expect("at least one shard");
-                    let mut scheds = schedulers.iter_mut();
-                    let sched0 = scheds.next().expect("a scheduler per shard");
-                    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = engines_iter
-                        .zip(scheds)
-                        .enumerate()
-                        .map(|(i, (engines, scheduler))| {
-                            let shard = i + 1;
-                            let inbox = &inbox;
-                            Box::new(move || {
-                                // Contain shard panics here so the
-                                // rendezvous always completes; the
-                                // driver re-raises after the
-                                // barrier.
-                                let result = panic::catch_unwind(AssertUnwindSafe(|| {
-                                    timed_shard_epoch(engines, scheduler, routes)
-                                }));
-                                inbox.deliver(shard, result);
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    // SAFETY: every borrow inside `jobs` (engines,
-                    // schedulers, routes, inbox) outlives the
-                    // generation — `guard` waits for the pool on
-                    // every exit path, including unwinds, before
-                    // those borrows can be touched or expire; the
-                    // previous generation finished before this
-                    // loop iteration re-entered.
-                    let submitted = unsafe { pool.submit(jobs) };
-                    let guard = EpochGuard { pool };
-                    results[0] = Some(timed_shard_epoch(shard0, sched0, routes));
-                    for _ in 0..submitted {
-                        let (shard, result) = inbox.recv();
-                        match result {
-                            Ok(ep) => results[shard] = Some(ep),
-                            Err(payload) => {
-                                first_panic = first_panic.take().or(Some(payload));
-                            }
+                // Shards 1.. go to the pool's long-lived workers (none
+                // for one shard: a zero-job generation spawns no
+                // thread), the driver runs shard 0 itself, and results
+                // stream back through the inbox.
+                let mut engines_iter = shard_engines.into_iter();
+                let shard0 = engines_iter.next().expect("at least one shard");
+                let mut scheds = schedulers.iter_mut();
+                let sched0 = scheds.next().expect("a scheduler per shard");
+                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = engines_iter
+                    .zip(scheds)
+                    .enumerate()
+                    .map(|(i, (engines, scheduler))| {
+                        let shard = i + 1;
+                        let done = done.clone();
+                        Box::new(move || {
+                            // Contain shard panics here so the
+                            // rendezvous always completes; the driver
+                            // re-raises after the barrier.
+                            let result = panic::catch_unwind(AssertUnwindSafe(|| {
+                                run_shard_epoch(engines, scheduler, kernel, routes)
+                            }));
+                            // The driver holds the inbox until every
+                            // job has reported, so the send cannot fail.
+                            let _ = done.send((shard, result));
+                        }) as Box<dyn FnOnce() + Send + '_>
+                    })
+                    .collect();
+                // SAFETY: every borrow inside `jobs` (engines,
+                // schedulers, routes) outlives the generation —
+                // `guard` waits for the pool on every exit path,
+                // including unwinds, before those borrows can be
+                // touched or expire; the previous generation finished
+                // before this loop iteration re-entered.
+                let submitted = unsafe { pool.submit(jobs) };
+                let guard = EpochGuard { pool };
+                results[0] = Some(run_shard_epoch(shard0, sched0, kernel, routes));
+                for _ in 0..submitted {
+                    let (shard, result) = inbox.recv().expect("the driver holds a sender");
+                    match result {
+                        Ok(ep) => results[shard] = Some(ep),
+                        Err(payload) => {
+                            first_panic = first_panic.take().or(Some(payload));
                         }
                     }
-                    drop(guard);
-                    first_panic = first_panic.take().or_else(|| pool.take_panic());
                 }
+                drop(guard);
+                first_panic = first_panic.take().or_else(|| pool.take_panic());
                 (results, first_panic)
             };
             if let Some(payload) = first_panic {
@@ -525,10 +560,9 @@ impl ShardedFleet {
             let mut ran = false;
             let mut merged: Vec<(u64, usize, EngineRecord)> = Vec::new();
             let mut forwards: Vec<(usize, usize, Message)> = Vec::new();
-            for (shard, ep) in results.into_iter().enumerate() {
+            for ep in results {
                 let mut ep = ep.expect("every shard reported an epoch");
                 ran |= ep.ran;
-                self.shard_wall_nanos[shard] += ep.wall_nanos;
                 merged.append(&mut ep.records);
                 fleet.gateway.counters.merge(&ep.counters);
                 for (cluster, m) in ep.stash.drain(..) {
@@ -538,8 +572,8 @@ impl ShardedFleet {
             }
 
             // Barrier, part 2: emit the epoch's records in the
-            // single-threaded round-robin order — merge by (round,
-            // cluster); see the module docs for why this is exact.
+            // single-shard order — merge by (round, cluster); see the
+            // module docs for why this is exact.
             merged.sort_by_key(|&(round, cluster, _)| (round, cluster));
             for (_, cluster, record) in merged {
                 sink(FleetRecord { cluster, record });
@@ -547,8 +581,8 @@ impl ShardedFleet {
 
             // Barrier, part 3: queue forwarded legs on their
             // destination buses in (source cluster, receive position)
-            // order — the stable sort restores the single-threaded
-            // route_cluster loop's order across non-contiguous shards.
+            // order — the stable sort restores it across non-contiguous
+            // shards.
             forwards.sort_by_key(|&(src, _, _)| src);
             let mut routed = false;
             for (_, dest_cluster, msg) in forwards {
@@ -588,16 +622,10 @@ fn balance_by_weight(weights: &[u64], shards: usize) -> Vec<Vec<usize>> {
     assignment
 }
 
-impl fmt::Display for ShardedFleet {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sharded({})", self.shards)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::FuId;
+    use crate::addr::{Address, FuId, ShortPrefix};
     use crate::config::BusConfig;
     use crate::engine::EngineKind;
     use crate::fleet::{FleetNodeId, FleetSchedule, FleetWorkload};
@@ -613,13 +641,22 @@ mod tests {
     }
 
     /// Shard counts the conformance sweep covers; reduced under Miri
-    /// (1 = no pool, 2 = smallest real rendezvous).
+    /// (1 = no pool thread, 2 = smallest real rendezvous).
     fn test_shard_counts() -> &'static [usize] {
         if cfg!(miri) {
             &[1, 2]
         } else {
             &[1, 2, 3, 5, 8, 13]
         }
+    }
+
+    /// Sums a driver's per-cluster transaction counters.
+    fn transactions(driver: &FleetDriver) -> u64 {
+        driver
+            .schedulers
+            .iter()
+            .flat_map(|s| &s.cluster_transactions)
+            .sum()
     }
 
     #[test]
@@ -655,7 +692,7 @@ mod tests {
     #[test]
     fn sharded_counters_accumulate_across_drives() {
         let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
-        let mut sharded = ShardedFleet::new(4);
+        let mut sharded = FleetSchedule::Sharded { shards: 4 }.driver();
         for round in 0..2 {
             fleet
                 .queue_remote(
@@ -669,13 +706,13 @@ mod tests {
             sharded.drive(&mut fleet, &mut |_| n += 1);
             assert_eq!(n, 2, "envelope + forwarded leg");
         }
-        assert_eq!(sharded.transactions(), 4);
+        assert_eq!(transactions(&sharded), 4);
         // Each drive: envelope epoch + forwarded epoch; the empty
-        // terminating epoch is not counted (see `epochs`).
-        assert_eq!(sharded.epochs(), 4);
+        // terminating epoch is not counted.
+        assert_eq!(sharded.epochs, 4);
         sharded.drive(&mut fleet, &mut |_| {});
-        assert_eq!(sharded.epochs(), 4, "quiescent drive adds no epoch");
-        let fairness = sharded.fairness(8);
+        assert_eq!(sharded.epochs, 4, "quiescent drive adds no epoch");
+        let fairness = sharded.fairness(8).expect("round-robin drains report");
         assert_eq!(fairness.cluster_transactions[0], 2);
         assert_eq!(fairness.cluster_transactions[5], 2);
         assert_eq!(fairness.epochs, 4);
@@ -711,18 +748,8 @@ mod tests {
         let c = fleet.add_cluster();
         let src = fleet.add_sensor(c, false);
         fleet.add_sensor(c, false);
-        fleet
-            .queue(
-                src,
-                crate::message::Message::new(
-                    crate::addr::Address::short(
-                        crate::addr::ShortPrefix::new(0x3).unwrap(),
-                        FuId::ZERO,
-                    ),
-                    vec![1],
-                ),
-            )
-            .unwrap();
+        let to_peer = Address::short(ShortPrefix::new(0x3).unwrap(), FuId::ZERO);
+        fleet.queue(src, Message::new(to_peer, vec![1])).unwrap();
         let mut records = 0;
         fleet.drain(FleetSchedule::Sharded { shards: 64 }, &mut |_| records += 1);
         assert_eq!(records, 1);
@@ -730,7 +757,37 @@ mod tests {
         // Degenerate inputs: zero shards clamp to one, empty fleets
         // terminate immediately.
         let mut empty = Fleet::new(EngineKind::Analytic, BusConfig::default());
-        ShardedFleet::new(0).drive(&mut empty, &mut |_| panic!("no records"));
+        empty.drain(FleetSchedule::Sharded { shards: 0 }, &mut |_| {
+            panic!("no records")
+        });
+    }
+
+    #[test]
+    fn single_shard_schedules_start_no_thread() {
+        // Batched and Interleaved are the one-shard case: shard 0 runs
+        // on the driver thread and the pool stays empty. Two shards is
+        // the control — it must spawn exactly one worker.
+        for (schedule, threads) in [
+            (FleetSchedule::Batched, 0),
+            (FleetSchedule::Interleaved, 0),
+            (FleetSchedule::Sharded { shards: 1 }, 0),
+            (FleetSchedule::Sharded { shards: 2 }, 1),
+        ] {
+            let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
+            fleet
+                .queue_remote(
+                    FleetNodeId::new(0, 1),
+                    FleetNodeId::new(7, 2),
+                    FuId::ZERO,
+                    vec![1],
+                )
+                .unwrap();
+            let mut driver = schedule.driver();
+            let mut n = 0;
+            driver.drive(&mut fleet, &mut |_| n += 1);
+            assert_eq!(n, 2, "{schedule}");
+            assert_eq!(driver.pool.workers(), threads, "{schedule}");
+        }
     }
 
     #[test]
@@ -751,6 +808,48 @@ mod tests {
     }
 
     #[test]
+    fn hot_cluster_earns_a_dedicated_shard() {
+        // Every sensor outside cluster 0 reports to cluster 0, so
+        // cluster 0 runs one forwarded leg per envelope the others
+        // send. Once those legs are measured, the greedy packer places
+        // the hot cluster first and never tops up its shard while two
+        // or more other shards stay lighter. Sized down under Miri.
+        let (clusters, sensors, rounds) = if cfg!(miri) { (4, 1, 1) } else { (9, 3, 3) };
+        let shard_counts: &[usize] = if cfg!(miri) { &[3] } else { &[3, 4] };
+        for &shards in shard_counts {
+            let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+            for _ in 0..clusters {
+                let c = fleet.add_cluster();
+                for _ in 0..sensors {
+                    fleet.add_sensor(c, false);
+                }
+            }
+            for round in 0..rounds {
+                for c in 1..clusters {
+                    for j in 1..=sensors {
+                        fleet
+                            .queue_remote(
+                                FleetNodeId::new(c, j),
+                                FleetNodeId::new(0, 1),
+                                FuId::ZERO,
+                                vec![round, c as u8, j as u8],
+                            )
+                            .unwrap();
+                    }
+                }
+            }
+            let mut driver = FleetSchedule::Sharded { shards }.driver();
+            driver.drive(&mut fleet, &mut |_| {});
+            let home = driver
+                .shard_assignment()
+                .iter()
+                .find(|members| members.contains(&0))
+                .expect("cluster 0 is assigned");
+            assert_eq!(home, &vec![0], "shards={shards}: hot cluster isolated");
+        }
+    }
+
+    #[test]
     fn wire_engines_migrate_across_pool_threads() {
         // The Send-audit's regression test, sized to run un-reduced
         // under Miri: two Rc-based wire engines on a two-shard
@@ -764,7 +863,7 @@ mod tests {
             fleet.add_sensor(c, false);
             fleet.add_sensor(c, false);
         }
-        let mut sharded = ShardedFleet::new(2);
+        let mut sharded = FleetSchedule::Sharded { shards: 2 }.driver();
         for round in 0..3u8 {
             for (src, dst) in [(0usize, 1usize), (1, 0)] {
                 fleet
@@ -780,12 +879,12 @@ mod tests {
             sharded.drive(&mut fleet, &mut |_| n += 1);
             assert_eq!(n, 4, "round {round}: two envelopes + two forwarded legs");
         }
-        assert_eq!(sharded.transactions(), 12);
+        assert_eq!(transactions(&sharded), 12);
     }
 
     #[test]
     fn assignment_refreshes_on_rebalance_and_resize() {
-        let mut sharded = ShardedFleet::new(2);
+        let mut sharded = FleetSchedule::Sharded { shards: 2 }.driver();
         let mut fleet = eight_cluster_fleet(EngineKind::Analytic);
         fleet
             .queue_remote(

@@ -24,9 +24,9 @@
 //! * [`AnalyticBus`] — transaction-level, using the paper's §6.1 cycle
 //!   budget; fast enough for the evaluation sweeps.
 //!   [`AnalyticBus::run_transaction`] executes exactly one
-//!   transaction, so thousands of buses interleave on one thread
-//!   ([`InterleavedScheduler`]) or shard across worker threads with
-//!   gateway exchange at epoch barriers ([`ShardedFleet`]).
+//!   transaction, so thousands of buses interleave on one thread or
+//!   shard across worker threads, with gateway exchange at epoch
+//!   barriers ([`FleetSchedule`]).
 //! * [`wire::WireBus`] — edge-level, running real bus-controller and
 //!   mediator state machines over the `mbus-sim` discrete-event kernel
 //!   with per-hop propagation delays.
@@ -106,7 +106,7 @@ pub use engine::{
 pub use error::MbusError;
 pub use fleet::{
     Fleet, FleetFairness, FleetNodeId, FleetRecord, FleetReport, FleetSchedule, FleetSignature,
-    FleetWorkload, InterleavedScheduler, MeshRoute, ShardedFleet,
+    FleetWorkload, MeshRoute,
 };
 pub use message::Message;
 pub use node::NodeSpec;

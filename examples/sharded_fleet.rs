@@ -4,21 +4,21 @@
 //! Four parts:
 //!
 //! 1. Build a 12-cluster analytic fleet with a cross-cluster ring
-//!    of traffic and drain it with a [`ShardedFleet`] across 4
-//!    workers, printing the per-shard transaction split and the
-//!    fairness gauges.
+//!    of traffic and drain it under [`FleetSchedule::Sharded`] across
+//!    4 workers, printing the per-shard transaction split and the
+//!    fairness gauges that [`Fleet::drain`] returns.
 //! 2. Show the equivalence contract live: the sharded record stream is
 //!    bit-identical to the single-threaded interleaved drain — not
 //!    just per cluster, the whole fleet-wide order.
 //! 3. Run a workload through every [`FleetSchedule`] (batched,
 //!    interleaved, sharded at several widths) and verify one shared
 //!    [`FleetSignature`](mbus_core::FleetSignature).
-//! 4. Watch measured load balancing hand a hot cluster its own shard
-//!    while the stream stays bit-identical.
+//! 4. Watch measured load balancing spread a hot-spot fleet's work
+//!    across shards while the stream stays bit-identical.
 //!
 //! Run with: `cargo run --release --example sharded_fleet`
 
-use mbus_core::fleet::{Fleet, FleetNodeId, ShardedFleet};
+use mbus_core::fleet::{Fleet, FleetNodeId};
 use mbus_core::{BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId};
 
 fn ring_fleet(clusters: usize) -> Result<(Fleet, Vec<FleetNodeId>), Box<dyn std::error::Error>> {
@@ -68,22 +68,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let clusters = 12;
     let workers = 4;
     let (mut fleet, sensors) = ring_fleet(clusters)?;
-    let mut sharded = ShardedFleet::new(workers);
     let mut order = Vec::new();
-    sharded.drive(&mut fleet, &mut |record| order.push(record.cluster));
+    let fairness = fleet
+        .drain(FleetSchedule::Sharded { shards: workers }, &mut |record| {
+            order.push(record.cluster)
+        })
+        .expect("sharded drains report fairness");
     println!(
         "{clusters} buses drained across {workers} workers: {} transactions in {} epochs",
-        sharded.transactions(),
-        sharded.epochs(),
+        order.len(),
+        fairness.epochs,
     );
-    for (s, scheduler) in sharded.shard_schedulers().iter().enumerate() {
-        println!(
-            "  shard {s}: {} transactions, max turn gap {}",
-            scheduler.transactions(),
-            scheduler.max_turn_gap(),
-        );
+    for (s, txns) in fairness.shard_transactions.iter().enumerate() {
+        println!("  shard {s}: {txns} transactions");
     }
-    let fairness = sharded.fairness(clusters);
     println!(
         "  merged fairness: per-cluster txns {:?}, starvation gauge {}, hog {}",
         fairness.cluster_transactions,
@@ -118,16 +116,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- 4. Measured rebalancing. -----------------------------------
     // Each epoch repartitions the shards on the per-cluster transaction
     // counters so far, so once the forwarded legs land the greedy
-    // packer isolates the hot cluster on its own shard.
+    // packer gives the hot cluster a shard of its own.
     let mut want = Vec::new();
     hot_fleet()?.drain(FleetSchedule::Interleaved, &mut |r| want.push(r));
-    let mut balanced = ShardedFleet::new(3);
     let mut got = Vec::new();
-    balanced.drive(&mut hot_fleet()?, &mut |r| got.push(r));
+    let balanced = hot_fleet()?
+        .drain(FleetSchedule::Sharded { shards: 3 }, &mut |r| got.push(r))
+        .expect("sharded drains report fairness");
     assert_eq!(want, got, "rebalancing never moves a bit");
     println!(
-        "\nmeasured balance after a hot aggregation drive: shards {:?}",
-        balanced.shard_assignment(),
+        "\nper-shard transactions after a hot aggregation drive: {:?}",
+        balanced.shard_transactions,
     );
     Ok(())
 }

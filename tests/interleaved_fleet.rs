@@ -1,8 +1,7 @@
-//! Interleaved-vs-batched fleet equivalence: the
-//! [`InterleavedScheduler`] (one transaction per cluster per round,
-//! the serving schedule for thousands of buses on one thread) must
-//! produce the *same per-cluster behavior* as the batched
-//! cluster-major drain.
+//! Interleaved-vs-batched fleet equivalence: the interleaved schedule
+//! (one transaction per cluster per round, the serving schedule for
+//! thousands of buses on one thread) must produce the *same
+//! per-cluster behavior* as the batched cluster-major drain.
 //!
 //! The contract, exactly as `mbus_core::fleet` documents it: both
 //! schedules route gateway envelopes only at epoch barriers, so each
@@ -20,11 +19,10 @@
 //!
 //! [`FleetRecord`]: mbus_core::FleetRecord
 //! [`FleetSignature`]: mbus_core::FleetSignature
-//! [`InterleavedScheduler`]: mbus_core::InterleavedScheduler
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, InterleavedScheduler};
+use mbus_core::fleet::{Fleet, FleetNodeId};
 use mbus_core::{
     BusConfig, EngineKind, EngineRecord, FleetReport, FleetSchedule, FleetWorkload, FuId,
 };
@@ -153,34 +151,29 @@ fn interleaved_scheduler_handles_cross_cluster_causality() {
 
 #[test]
 fn scheduler_counters_and_reuse_across_drives() {
-    // One scheduler instance drives two fleets; counters accumulate
-    // and the active-list scratch is reused safely.
-    let mut scheduler = InterleavedScheduler::new();
-    for _ in 0..2 {
-        let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-        let a = fleet.add_cluster();
-        let b = fleet.add_cluster();
-        let s0 = fleet.add_sensor(a, false);
-        fleet.add_sensor(b, false);
-        fleet
-            .queue_remote(s0, FleetNodeId::new(1, 1), FuId::ZERO, vec![1, 2])
-            .unwrap();
-        let mut n = 0;
-        scheduler.drive(&mut fleet, &mut |_| n += 1);
-        assert_eq!(n, 2);
+    // One driver serves every drain step of a workload run: counters
+    // accumulate across the drives, and drives over an already
+    // quiescent fleet add no epoch.
+    let (src, dst) = (FleetNodeId::new(0, 1), FleetNodeId::new(1, 1));
+    let sent = FleetWorkload::new("reuse", BusConfig::default())
+        .cluster(vec![false])
+        .cluster(vec![false])
+        .send_remote(src, dst, FuId::ZERO, vec![1])
+        .drain()
+        .send_remote(src, dst, FuId::ZERO, vec![2])
+        .drain();
+    let quiet = sent.clone().drain().drain();
+    for w in [&sent, &quiet] {
+        let report = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Interleaved);
+        assert_eq!(report.transactions(), 4);
+        let fairness = report.fairness.expect("interleaved drains report");
+        assert_eq!(fairness.cluster_transactions, vec![2, 2]);
+        assert_eq!(fairness.shard_transactions, vec![4], "one shard");
+        // Two progress epochs per drive (envelope, then forwarded
+        // leg); the terminating empty epochs are not counted, so the
+        // two trailing quiescent drives leave the counter at 4.
+        assert_eq!(fairness.epochs, 4, "{}", w.steps().len());
     }
-    assert_eq!(scheduler.transactions(), 4);
-    // Two progress epochs per drive (envelope, then forwarded leg);
-    // the terminating empty epochs are not counted — see the
-    // `InterleavedScheduler::epochs` contract.
-    assert_eq!(scheduler.epochs(), 4);
-    // A drive over an already-quiescent fleet adds nothing: the
-    // counter no longer inflates on back-to-back drives.
-    let mut quiet = Fleet::new(EngineKind::Analytic, BusConfig::default());
-    quiet.add_cluster();
-    scheduler.drive(&mut quiet, &mut |_| {});
-    scheduler.drive(&mut quiet, &mut |_| {});
-    assert_eq!(scheduler.epochs(), 4);
 }
 
 #[test]

@@ -1,31 +1,32 @@
 //! Sharded-fleet conformance: the multi-threaded sharded drain
-//! ([`ShardedFleet`]) must be **bit-identical** to the single-threaded
-//! interleaved drain — full fleet-wide record stream, per-cluster
-//! [`FleetSignature`] content (records, deliveries, wake accounting),
-//! and merged gateway counters (forwarded, dropped, per-cluster drop
-//! attribution) — for every engine kind and every shard count.
+//! ([`FleetSchedule::Sharded`]) must be **bit-identical** to the
+//! single-threaded interleaved drain — full fleet-wide record stream,
+//! per-cluster [`FleetSignature`] content (records, deliveries, wake
+//! accounting), and merged gateway counters (forwarded, dropped,
+//! per-cluster drop attribution) — for every engine kind and every
+//! shard count.
 //!
-//! The equivalence argument lives in `mbus_core::fleet::shard`'s
-//! module docs: workers issue each cluster the same autonomous-drain
-//! call sequence the single-threaded scheduler would, a cluster's
-//! `j`-th transaction of an epoch always lands in round `j`, so the
-//! barrier's `(round, cluster)` merge reproduces the round-robin
-//! order, and the per-shard gateway counters are sums that merge
-//! order-independently. This suite pins all of it over hundreds of
-//! seeded fleets (which include unroutable envelopes and mid-epoch
+//! The equivalence argument lives in the fleet driver's module docs
+//! (`crates/core/src/fleet/shard.rs`): shards issue each cluster the
+//! same autonomous-drain call sequence a single round-robin shard
+//! would, a cluster's `j`-th transaction of an epoch always lands in
+//! round `j`, so the barrier's `(round, cluster)` merge reproduces the
+//! round-robin order, and the per-shard gateway counters are sums that
+//! merge order-independently. This suite pins all of it over hundreds
+//! of seeded fleets (which include unroutable envelopes and mid-epoch
 //! partial drains) at shard counts {1, 2, 4, 7} — spanning one-worker
 //! degeneration, even splits, ragged splits, and more workers than
 //! clusters.
 //!
+//! [`FleetSchedule::Sharded`]: mbus_core::FleetSchedule::Sharded
 //! [`FleetSignature`]: mbus_core::FleetSignature
-//! [`ShardedFleet`]: mbus_core::ShardedFleet
 
 mod common;
 
-use mbus_core::fleet::{Fleet, FleetNodeId, GatewayNode, ShardedFleet, GATEWAY_NODE, MAX_CLUSTERS};
+use mbus_core::fleet::{Fleet, FleetNodeId, FleetStep, GatewayNode, GATEWAY_NODE, MAX_CLUSTERS};
 use mbus_core::{
-    Address, BusConfig, EngineKind, FleetSchedule, FleetWorkload, FuId, FullPrefix,
-    InterleavedScheduler, Message, ReceivedMessage, ShortPrefix,
+    Address, BusConfig, EngineKind, FleetFairness, FleetSchedule, FleetWorkload, FuId, FullPrefix,
+    Message, ReceivedMessage, ShortPrefix,
 };
 
 /// The acceptance-bar shard counts: degenerate, even, ragged, and
@@ -247,42 +248,29 @@ fn hot_spot_fleet() -> Fleet {
 
 #[test]
 fn hot_cluster_earns_a_dedicated_shard() {
-    // Measured balancing must (a) keep the stream bit-identical and
-    // (b) isolate the hot cluster on its own shard once its weight
-    // dwarfs the rest.
-    let mut reference = InterleavedScheduler::new();
+    // Measured balancing must keep the stream bit-identical while it
+    // moves the hot cluster around (its isolation at >= 3 shards is
+    // pinned by the driver's unit tests), and the per-shard gauges
+    // must cover every transaction.
     let mut want = Vec::new();
-    reference.drive(&mut hot_spot_fleet(), &mut |r| want.push(r));
-    let weights = reference.cluster_transactions();
+    let reference = hot_spot_fleet()
+        .drain(FleetSchedule::Interleaved, &mut |r| want.push(r))
+        .expect("interleaved drains report");
+    let weights = &reference.cluster_transactions;
     assert!(
         weights[1..].iter().all(|&w| weights[0] > 3 * w),
         "cluster 0 is the clear hot spot: {weights:?}"
     );
     for shards in [2usize, 3, 4] {
-        let mut sharded = ShardedFleet::new(shards);
         let mut got = Vec::new();
-        sharded.drive(&mut hot_spot_fleet(), &mut |r| got.push(r));
+        let fairness = hot_spot_fleet()
+            .drain(FleetSchedule::Sharded { shards }, &mut |r| got.push(r))
+            .expect("sharded drains report");
         assert_eq!(want, got, "shards={shards}");
-        let home = sharded
-            .shard_assignment()
-            .iter()
-            .find(|members| members.contains(&0))
-            .expect("cluster 0 is assigned");
-        if shards >= 3 {
-            // With the hot cluster ~8x any peer, the greedy packer
-            // places it first and never tops up its shard while two or
-            // more other shards stay lighter.
-            assert_eq!(
-                home,
-                &vec![0],
-                "shards={shards}: the hot aggregation cluster is isolated"
-            );
-        }
-        let fairness = sharded.fairness(9);
         assert_eq!(fairness.shard_transactions.len(), shards);
         assert_eq!(
             fairness.shard_transactions.iter().sum::<u64>(),
-            sharded.transactions(),
+            got.len() as u64,
             "per-shard gauges cover every transaction"
         );
     }
@@ -290,42 +278,94 @@ fn hot_cluster_earns_a_dedicated_shard() {
 
 #[test]
 fn sharded_scheduler_reuse_reports_per_shard() {
-    // One ShardedFleet instance across two drives: totals accumulate,
-    // and the per-shard schedulers expose their own slices of the
-    // work.
-    let mut fleet = Fleet::new(EngineKind::Analytic, BusConfig::default());
+    // One driver across two drain steps: totals accumulate, and the
+    // per-shard counters expose each shard's slice of the work.
+    let mut w = FleetWorkload::new("reuse", BusConfig::default());
     for _ in 0..6 {
-        let c = fleet.add_cluster();
-        fleet.add_sensor(c, false);
+        w = w.cluster(vec![false]);
     }
-    let mut sharded = ShardedFleet::new(3);
     for round in 0..2u8 {
         for c in 0..6 {
-            fleet
-                .queue_remote(
-                    FleetNodeId::new(c, 1),
-                    FleetNodeId::new((c + 1) % 6, 1),
-                    FuId::ZERO,
-                    vec![round, c as u8],
-                )
-                .unwrap();
+            w = w.send_remote(
+                FleetNodeId::new(c, 1),
+                FleetNodeId::new((c + 1) % 6, 1),
+                FuId::ZERO,
+                vec![round, c as u8],
+            );
         }
-        sharded.drive(&mut fleet, &mut |_| {});
+        w = w.drain();
     }
+    let report = w.run_scheduled_on(EngineKind::Analytic, FleetSchedule::Sharded { shards: 3 });
     // 6 envelope legs + 6 forwarded legs per drive.
-    assert_eq!(sharded.transactions(), 24);
-    assert_eq!(sharded.shard_schedulers().len(), 3);
-    let per_shard: Vec<u64> = sharded
-        .shard_schedulers()
-        .iter()
-        .map(|s| s.transactions())
-        .collect();
-    assert_eq!(per_shard, vec![8, 8, 8], "two clusters per shard");
+    assert_eq!(report.transactions(), 24);
+    let fairness = report.fairness.as_ref().expect("sharded drains report");
+    assert_eq!(
+        fairness.shard_transactions,
+        vec![8, 8, 8],
+        "two clusters per shard"
+    );
     // Every sensor got its neighbor's messages; the gateway rx logs
     // stayed clean.
     for c in 0..6 {
-        assert_eq!(fleet.take_rx(FleetNodeId::new(c, 1)).len(), 2);
-        assert!(fleet.take_rx(FleetNodeId::new(c, GATEWAY_NODE)).is_empty());
+        assert_eq!(report.rx[c][1].len(), 2);
+        assert!(report.rx[c][GATEWAY_NODE].is_empty());
+    }
+}
+
+/// A fairness report with the non-deterministic wall-time gauge
+/// reduced to its length.
+fn deterministic(mut fairness: FleetFairness) -> (FleetFairness, usize) {
+    let shards = fairness.shard_wall_nanos.len();
+    fairness.shard_wall_nanos.clear();
+    (fairness, shards)
+}
+
+#[test]
+fn drain_returns_the_report_fairness() {
+    // `Fleet::drain` hands back the same fairness `FleetReport`
+    // carries for the same traffic: `None` batched, one shard
+    // interleaved, `n` shards sharded.
+    let mut w = FleetWorkload::new("fairness", BusConfig::default());
+    for _ in 0..5 {
+        w = w.cluster(vec![false, false]);
+    }
+    for c in 0..5 {
+        for j in 1..=2 {
+            w = w.send_remote(
+                FleetNodeId::new(c, j),
+                FleetNodeId::new((c + j) % 5, 1),
+                FuId::ZERO,
+                vec![c as u8, j as u8],
+            );
+        }
+    }
+    for (schedule, shards) in [
+        (FleetSchedule::Batched, None),
+        (FleetSchedule::Interleaved, Some(1)),
+        (FleetSchedule::Sharded { shards: 3 }, Some(3)),
+    ] {
+        let report = w.run_scheduled_on(EngineKind::Analytic, schedule);
+        let mut fleet = w.instantiate(EngineKind::Analytic);
+        for step in w.steps() {
+            if let FleetStep::Remote {
+                src,
+                dest,
+                fu,
+                payload,
+                ..
+            } = step
+            {
+                fleet
+                    .queue_remote(*src, *dest, *fu, payload.clone())
+                    .unwrap();
+            }
+        }
+        let mut records = Vec::new();
+        let drained = fleet.drain(schedule, &mut |r| records.push(r));
+        assert_eq!(records, report.records, "{schedule}");
+        let drained = drained.map(deterministic);
+        assert_eq!(drained, report.fairness.map(deterministic), "{schedule}");
+        assert_eq!(drained.map(|(_, n)| n), shards, "{schedule}");
     }
 }
 
